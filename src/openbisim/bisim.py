@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from . import frames as frames_mod
-from .frames import Distinguished as StaticDistinguished, Frame, enumerate_recipes
+from .frames import (
+    Distinguished as StaticDistinguished, Frame, enumerate_recipes, recipe_images,
+)
 from .lts import (
     History, InputSchema, NotPiFragment, ReplicationUnbounded, Transition,
     early_transitions, late_transitions, respects,
@@ -655,7 +657,10 @@ def _recipe_images(frame: Frame, th: Theory, depth: int,
     images under the frame; the order is deterministic so two same-domain
     frames align index by index.  The recipe list depends on the domain
     only and is shared (the theory's ``recipes`` table); the images are
-    cached per frame (``recipe_images``)."""
+    cached per frame (``recipe_images``).  Images are built bottom-up from
+    the images of each recipe's arguments (frames.recipe_images), which
+    in a convergent theory gives each recipe's normal form without
+    rewriting the instantiated recipe again."""
     recipes_cache = th._aux.setdefault("recipes", {})
     key = (frame.order, publics, fresh, depth)
     recipes = recipes_cache.get(key)
@@ -667,7 +672,7 @@ def _recipe_images(frame: Frame, th: Theory, depth: int,
            fresh, depth)
     images = cache.get(key)
     if images is None:
-        images = cache[key] = tuple(frame.image(r, th) for r in recipes)
+        images = cache[key] = tuple(recipe_images(frame, recipes, th))
     return recipes, images
 
 
@@ -1153,13 +1158,14 @@ def validate_witness(
     gen = NameGen()
     for a, b in witness.pairs:
         gen.reserve(_all_names(a) | _all_names(b))
-    keys = witness.keys()
+    pair_keys = [canonical_key(a, b) for a, b in witness.pairs]
+    keys = frozenset(pair_keys)
     if canonical_key(*witness.root) not in keys:
         return False
     game = _EarlyGame(th, cfg, gen)
-    for a, b in witness.pairs:
+    for (a, b), key in zip(witness.pairs, pair_keys):
         # children are only keyed, never explored: one-level validation
-        node = _Node(a, b, canonical_key(a, b), cfg.max_depth - 1)
+        node = _Node(a, b, key, cfg.max_depth - 1)
         game.nodes[node.key] = node
         try:
             game._expand(node)

@@ -2,7 +2,9 @@
 
 Subcommands: check-bisim, check-static, model-check, distinguish, trace,
 fmt, corpus.  Exit codes: verdicts use 0/1/2 (yes/no/unknown), usage errors
-exit 64, file errors 66, internal self-check failures 70.
+exit 64, unreadable or unparsable inputs (including inputs nested deeper
+than the parsers' limit) 66, internal self-check failures and recursion
+too deep for the stack 70.
 """
 
 from __future__ import annotations
@@ -553,7 +555,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RecursionError:
+        _die(EX_SOFTWARE, "internal error: recursion too deep")
 
 
 if __name__ == "__main__":

@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .terms import (
     App, Substitution, Term, Theory, Var, apply_map, eq_mod, free_vars,
-    match_term, normalize, render_term, term_size,
+    match_term, normalize, normalize_root, render_term, term_size,
 )
 
 __all__ = [
     "Frame", "Verdict", "Equivalent", "Distinguished", "UnknownAtDepth",
-    "enumerate_recipes", "static_equiv", "deducible", "saturate",
+    "enumerate_recipes", "recipe_images", "static_equiv", "deducible",
+    "saturate",
 ]
 
 FRESH_PUBLIC = "?pub"
@@ -195,6 +196,36 @@ def _match_args(i: int, bindings: dict[str, Term], recipes: list[Term], lhs: App
 # Recipe enumeration
 
 
+def _image_from_args(r: Term, images: dict[Term, Term], frame: Frame,
+                     th: Theory) -> Term:
+    """frame.image(r), with the images of a compound recipe's arguments
+    taken from `images`."""
+    if isinstance(r, App) and r.args:
+        return normalize_root(App(r.fn, tuple([images[a] for a in r.args])), th)
+    return frame.image(r, th)
+
+
+def recipe_images(frame: Frame, recipes: Iterable[Term],
+                  th: Theory) -> list[Term]:
+    """The images under `frame` of `recipes`, which come in enumeration
+    order: every argument of a compound recipe comes before the recipe.
+
+    Images are built bottom-up.  The image of f(r1..rn) is the normal form
+    of f(img(r1)..img(rn)); its arguments are normal already, so in a
+    convergent theory only its root can still be rewritten
+    (`normalize_root`).  This equals frame.image(r), which normalizes the
+    whole instantiated recipe again.
+    """
+    images: dict[Term, Term] = {}
+    out = []
+    for r in recipes:
+        img = images.get(r)
+        if img is None:
+            img = images[r] = _image_from_args(r, images, frame, th)
+        out.append(img)
+    return out
+
+
 def enumerate_recipes(
     frame: Frame,
     th: Theory,
@@ -213,6 +244,7 @@ def enumerate_recipes(
         if arity == 0:
             atoms.append(App(fn, ()))
 
+    images: dict[Term, Term] = {}     # of the kept recipes, when dedup
     seen_images: set[Term] = set()
     layer: list[Term] = []
     out: list[Term] = []
@@ -222,6 +254,7 @@ def enumerate_recipes(
             if img in seen_images:
                 continue
             seen_images.add(img)
+            images[a] = img
         layer.append(a)
         out.append(a)
     yield from sorted(out, key=_recipe_key)
@@ -235,10 +268,11 @@ def enumerate_recipes(
             for args in itertools.product(all_recipes, repeat=arity):
                 r = App(fn, tuple(args))
                 if dedup:
-                    img = frame.image(r, th)
+                    img = _image_from_args(r, images, frame, th)
                     if img in seen_images:
                         continue
                     seen_images.add(img)
+                    images[r] = img
                 new_layer.append(r)
         new_layer.sort(key=_recipe_key)
         yield from new_layer
@@ -287,15 +321,18 @@ def deducible(
 # ---------------------------------------------------------------------------
 # Static equivalence
 
-_static_cache: dict[tuple, Verdict] = {}
-
-
 def static_equiv(a: Frame, b: Frame, th: Theory, depth: int = 3) -> Verdict:
-    """Decide static equivalence of two frames over a shared domain."""
+    """Decide static equivalence of two frames over a shared domain.
+
+    Verdicts are memoized in the theory's ``static_equiv`` table, keyed on
+    both frames with their domains and private names renamed positionally
+    and on the recipe depth; a distinguishing recipe pair is stored over
+    the renamed domain and renamed back per call."""
     if a.domain != b.domain:
         raise ValueError("compared frames must share a domain")
-    cache_key = (_frame_key(a), _frame_key(b), th.name, depth)
-    hit = _static_cache.get(cache_key)
+    cache = th._aux.setdefault("static_equiv", {})
+    cache_key = (_frame_key(a), _frame_key(b), depth)
+    hit = cache.get(cache_key)
     if hit is not None:
         if isinstance(hit, Distinguished):
             from_canon = Substitution.of(
@@ -309,12 +346,12 @@ def static_equiv(a: Frame, b: Frame, th: Theory, depth: int = 3) -> Verdict:
         to_canon = Substitution.of(
             {x: Var(f"%w{i}") for i, x in enumerate(a.order)}
         )
-        _static_cache[cache_key] = Distinguished(
+        cache[cache_key] = Distinguished(
             to_canon(verdict.left_recipe), to_canon(verdict.right_recipe),
             verdict.equal_on,
         )
     else:
-        _static_cache[cache_key] = verdict
+        cache[cache_key] = verdict
     return verdict
 
 
@@ -414,8 +451,8 @@ def _static_equiv(a: Frame, b: Frame, th: Theory, depth: int) -> Verdict:
     truncated = len(recipes) >= limit
     for frame, other in ((a, b), (b, a)):
         groups: dict[Term, list[Term]] = {}
-        for r in recipes:
-            groups.setdefault(frame.image(r, th), []).append(r)
+        for r, img in zip(recipes, recipe_images(frame, recipes, th)):
+            groups.setdefault(img, []).append(r)
         for img, group in groups.items():
             if len(group) < 2:
                 continue

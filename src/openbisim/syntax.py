@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .terms import (
-    App, Substitution, Term, Theory, Var, free_vars as term_free_vars,
-    normalize, render_term,
+    MAX_NESTING, App, Substitution, Term, Theory, Var,
+    free_vars as term_free_vars, normalize, render_term,
 )
 
 __all__ = [
@@ -941,6 +941,17 @@ class _Parser:
     def __init__(self, src: str):
         self.toks = _tokenize(src)
         self.pos = 0
+        self.depth = 0      # nesting of the node being parsed
+
+    def descend(self) -> None:
+        """Enter one more level of nesting, refusing inputs nested deeper
+        than MAX_NESTING.  Callers restore `depth` when the level ends."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            t = self.peek()
+            raise ParseError(t.line, t.col,
+                             f"at most {MAX_NESTING} levels of nesting",
+                             t.text or "end of input")
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -961,6 +972,7 @@ class _Parser:
         t = self.expect("ident", "an identifier")
         if self.peek().kind == "(":
             self.next()
+            self.descend()
             args: list[Term] = []
             if self.peek().kind != ")":
                 args.append(self.term())
@@ -968,22 +980,30 @@ class _Parser:
                     self.next()
                     args.append(self.term())
             self.expect(")", "')'")
+            self.depth -= 1
             return App(t.text, tuple(args))
         return Var(t.text)
 
     # -- processes ---------------------------------------------------------
+    # A chain P | Q | R nests to the left, one level per operator.
     def process(self) -> Process:
+        base = self.depth
         p = self.choice()
         while self.peek().kind == "|":
             self.next()
+            self.descend()
             p = Parallel(p, self.choice())
+        self.depth = base
         return p
 
     def choice(self) -> Process:
+        base = self.depth
         p = self.prefix()
         while self.peek().kind == "+":
             self.next()
+            self.descend()
             p = Choice(p, self.prefix())
+        self.depth = base
         return p
 
     def _continuation(self) -> Process:
@@ -993,6 +1013,13 @@ class _Parser:
         return Deadlock()
 
     def prefix(self) -> Process:
+        base = self.depth
+        self.descend()
+        p = self._prefix()
+        self.depth = base
+        return p
+
+    def _prefix(self) -> Process:
         t = self.peek()
         if t.kind == "zero":
             self.next()
@@ -1007,6 +1034,7 @@ class _Parser:
             names = [self.expect("ident", "a name").text]
             while self.peek().kind == ",":
                 self.next()
+                self.descend()      # one New node per name
                 names.append(self.expect("ident", "a name").text)
             self.expect(".", "'.'")
             p = self.prefix()

@@ -378,6 +378,24 @@ def normalize(t: Term, th: Theory) -> Term:
     return nf
 
 
+def normalize_root(t: App, th: Theory) -> Term:
+    """Normal form of an application whose arguments are normal forms.
+
+    Innermost rewriting of such a term can only start at its root, so when
+    no rule's left side matches there the term is its own normal form;
+    otherwise it is rewritten by `normalize`, under the theory's step
+    ceiling.  The result is looked up in and recorded in the normal-form
+    table, so equal results are one shared object."""
+    cached = th._nf_cache.get(t)
+    if cached is not None:
+        return cached
+    for rule in th.rules:
+        if rule.lhs.fn == t.fn and match_term(rule.lhs, t, rule.variables()) is not None:
+            return normalize(t, th)
+    th._nf_cache[t] = t
+    return t
+
+
 def eq_mod(s: Term, t: Term, th: Theory) -> bool:
     """Equality modulo the theory: identical normal forms."""
     return s == t or normalize(s, th) == normalize(t, th)
@@ -498,9 +516,10 @@ class UnifierSet:
         return bool(self.substitutions)
 
 
-def _rename_rule(rule: RewriteRule, counter: Iterator[int]) -> tuple[App, Term]:
-    ren = {x: Var(f"?r{next(counter)}") for x in sorted(rule.variables())}
-    sub = Substitution.of(ren)
+def _rename_rule(rule: RewriteRule, start: int) -> tuple[App, Term]:
+    """The rule with its sorted variables renamed ?r<start>, ?r<start+1>, ..."""
+    names = sorted(rule.variables())
+    sub = Substitution.of({x: Var(f"?r{start + i}") for i, x in enumerate(names)})
     return sub(rule.lhs), sub(rule.rhs)  # type: ignore[return-value]
 
 
@@ -549,6 +568,13 @@ def unify_mod(s: Term, t: Term, th: Theory) -> UnifierSet:
     each returned substitution is idempotent, restricted to fv(s) U fv(t),
     and sound: eq_mod(s sigma, t sigma).  Deterministic order: lexicographic
     on (domain variable, rendered range term) tuples.
+
+    A narrowing step tries a rule at a position only when the rule's left
+    side has the head symbol and arity of the subterm there; no other rule
+    can unify with it.  Every rule tried or skipped still takes its block of
+    ?r<n> names, so the names of the rules that are tried do not depend on
+    the filter: _canonical_unifier numbers the narrowing variables left in
+    a solution by their sorted names, where ?r10 sorts before ?r9.
     """
     key = (s, t)
     cached = th._unify_cache.get(key)
@@ -556,12 +582,12 @@ def unify_mod(s: Term, t: Term, th: Theory) -> UnifierSet:
         return cached
 
     keep = free_vars(s) | free_vars(t)
-    counter = itertools.count()
+    renamed = 0     # ?r<n> names handed out so far
     found: dict[Substitution, None] = {}
     truncated = False
 
     def solve(a: Term, b: Term, acc: Substitution, depth: int) -> None:
-        nonlocal truncated
+        nonlocal renamed, truncated
         a, b = normalize(a, th), normalize(b, th)
         mgu = syntactic_unify([(a, b)])
         if mgu is not None:
@@ -572,7 +598,11 @@ def unify_mod(s: Term, t: Term, th: Theory) -> UnifierSet:
         for side, term, other in (("l", a, b), ("r", b, a)):
             for pos, sub in _nonvar_positions(term):
                 for rule in th.rules:
-                    lhs, rhs = _rename_rule(rule, counter)
+                    start = renamed
+                    renamed += len(rule.variables())
+                    if rule.lhs.fn != sub.fn or len(rule.lhs.args) != len(sub.args):
+                        continue
+                    lhs, rhs = _rename_rule(rule, start)
                     theta = syntactic_unify([(sub, lhs)])
                     if theta is None:
                         continue
@@ -652,15 +682,22 @@ def entails_neq(names: Iterable[str], s: Term, t: Term, th: Theory) -> Entailmen
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_'#]*|\(|\)|,)")
 
+# Deepest nesting the parsers accept.  Terms, processes and the checker's
+# traversals of them recurse once per level, so a deeper input would
+# exhaust the stack instead of being refused.
+MAX_NESTING = 1000
+
 
 def parse_term(text: str) -> Term:
-    term, rest = _parse_term_prefix(text)
+    term, rest = _parse_term_prefix(text, 0)
     if rest.strip():
         raise TheoryError(f"trailing input after term: {rest.strip()!r}")
     return term
 
 
-def _parse_term_prefix(text: str) -> tuple[Term, str]:
+def _parse_term_prefix(text: str, depth: int) -> tuple[Term, str]:
+    if depth > MAX_NESTING:
+        raise TheoryError(f"term nested deeper than {MAX_NESTING} levels")
     m = _TOKEN.match(text)
     if not m or m.group(1) in ("(", ")", ","):
         raise TheoryError(f"expected identifier at {text.strip()[:30]!r}")
@@ -673,7 +710,7 @@ def _parse_term_prefix(text: str) -> tuple[Term, str]:
             if not args and rest.lstrip().startswith(")"):
                 rest = rest.lstrip()[1:]
                 break
-            arg, rest = _parse_term_prefix(rest)
+            arg, rest = _parse_term_prefix(rest, depth + 1)
             args.append(arg)
             nxt = rest.lstrip()
             if nxt.startswith(","):

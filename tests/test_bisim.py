@@ -308,11 +308,13 @@ def test_depth_bound_returns_unknown():
 from openbisim import corpus
 from openbisim.bisim import (
     _EarlyGame, _StateView, _all_names, _cached_worlds, _generated_renaming,
-    _payload_candidates, _payload_candidates_raw, _representative_worlds,
+    _payload_candidates, _payload_candidates_raw, _publics, _recipe_images,
+    _representative_worlds,
 )
+from openbisim.frames import Frame
 from openbisim.names import NameGen
 from openbisim.syntax import make_extended, parse, substitute
-from openbisim.terms import Substitution, Var, load_theory, render_term
+from openbisim.terms import App, Substitution, Var, load_theory, render_term
 
 
 def _normal(p, th):
@@ -386,3 +388,45 @@ def test_world_and_payload_caches_are_faithful(name):
             _payload_candidates_raw(*views, th, cfg, "?z")
     # the shifted states were served from the entries of the originals
     assert (len(th._aux["worlds_cache"]), len(th._aux["payload_cache"])) == entries
+
+
+@pytest.mark.parametrize("name, sweep", [
+    ("fixed-servers", False), ("broken-servers", False),
+    ("aenc-under-refinement", True), ("blind-forgery", False)])
+def test_recipe_images_are_faithful(name, sweep):
+    # every image list the check computed bottom-up equals frame.image of
+    # each recipe, normalized from scratch under a fresh copy of the theory.
+    # aenc-under-refinement is decided by static equivalence before any
+    # input, so its check computes no images: there the images of both
+    # frames of every node of its game are computed here.
+    entry = next(e for e in corpus.ENTRIES if e.name == name)
+    th = load_theory(corpus.path(entry.theory))
+    cfg = CheckConfig(recipe_depth=entry.recipe_depth, max_depth=entry.max_depth)
+    a = parse(corpus.read(entry.left))
+    b = parse(corpus.read(entry.right))
+    quasi_open_check(a, b, th, cfg)
+    if sweep:
+        a, b = _normal(a, th), _normal(b, th)
+        gen = NameGen()
+        gen.reserve(_all_names(a) | _all_names(b))
+        game = _EarlyGame(th, cfg, gen)
+        game.node_for(a, b, 0)
+        for node in game.nodes.values():
+            va, vb = _StateView.of(node.a), _StateView.of(node.b)
+            for v in (va, vb):
+                frame = Frame(frozenset(v.privates), v.frame, v.frame_order)
+                _recipe_images(frame, th, cfg.recipe_depth, _publics(va, vb), "?z")
+    ref = load_theory(corpus.path(entry.theory))
+    misses = th._aux["recipe_images"]
+    assert misses
+    root_rewrites = 0
+    for (privates, bindings, order, publics, fresh, depth), images in misses.items():
+        frame = Frame(privates, Substitution(bindings), order)
+        recipes = th._aux["recipes"][(order, publics, fresh, depth)]
+        want = tuple(frame.image(r, ref) for r in recipes)
+        assert images == want
+        by_recipe = dict(zip(recipes, want))
+        root_rewrites += sum(
+            1 for r, img in by_recipe.items() if isinstance(r, App) and r.args
+            and img != App(r.fn, tuple(by_recipe[a] for a in r.args)))
+    assert root_rewrites

@@ -132,3 +132,28 @@ def test_json_output():
     import json
     data = json.loads(out)
     assert data["verdict"] == "distinguished"
+
+
+# Deep inputs run in a subprocess: a stack overflow there would take the
+# test process down with it.
+
+def test_deeply_nested_inputs_exit_66(tmp_path):
+    flat = tmp_path / "flat.pi"
+    flat.write_text("out(a, x). 0\n")
+    deep_term = tmp_path / "deep_term.pi"
+    deep_term.write_text("out(a, " + "hash(" * 60_000 + "x" + ")" * 60_000 + "). 0\n")
+    deep_proc = tmp_path / "deep_proc.pi"
+    deep_proc.write_text("out(a, x). " * 60_000 + "0\n")
+    for deep in (deep_term, deep_proc):
+        code, _, err = run(["check-bisim", str(deep), str(flat), THYB])
+        assert code == 66, err[-500:]
+        assert "levels of nesting" in err
+
+
+def test_recursion_too_deep_exits_70(tmp_path):
+    # formulas have no nesting limit: the recursion error is reported
+    formula = tmp_path / "deep.fm"
+    formula.write_text("<tau>" * 150_000 + "tt\n")
+    code, _, err = run(["model-check", corpus_path("server_a.pi"), str(formula), THY])
+    assert code == 70, err[-500:]
+    assert "recursion" in err

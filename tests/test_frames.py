@@ -6,11 +6,11 @@ import pytest
 
 from openbisim.frames import (
     Distinguished, Equivalent, Frame, UnknownAtDepth, deducible,
-    enumerate_recipes, static_equiv,
+    enumerate_recipes, recipe_images, static_equiv,
 )
 from openbisim.terms import (
-    App, Substitution, Var, dy_asym, dy_blind, eq_mod, free_vars, parse_term,
-    term_size,
+    App, NonTermination, RewriteRule, Substitution, Theory, Var, dy_asym,
+    dy_blind, eq_mod, free_vars, parse_term, parse_theory, term_size,
 )
 
 TH = dy_asym()
@@ -210,3 +210,47 @@ def test_unknown_at_depth_for_opaque_theory():
     b = F({"m", "k"}, x1="aenc(m, pk(k))", x2="k")
     v = static_equiv(a, b, th, depth=1)
     assert isinstance(v, (UnknownAtDepth, Equivalent)) and isinstance(v, UnknownAtDepth)
+
+
+@pytest.mark.parametrize("ruled_first", [False, True])
+def test_static_verdicts_are_kept_per_theory(ruled_first):
+    # two theories with one name: verdicts memoized under one must not
+    # answer for the other, in either order
+    plain = parse_theory("sym f/1\nsym c/0\n")
+    ruled = parse_theory("sym f/1\nsym c/0\nrule f(X) -> c\n")
+    assert plain.name == ruled.name
+    a, b = F({"a"}, w="a"), F({"a"}, w="f(a)")
+    want = {id(plain): Equivalent, id(ruled): Distinguished}
+    for th in ([ruled, plain] if ruled_first else [plain, ruled]):
+        assert isinstance(static_equiv(a, b, th), want[id(th)])
+
+
+# ---------------------------------------------------------------------------
+# Bottom-up recipe images
+
+
+def test_recipe_images_equal_frame_images():
+    th = dy_blind()
+    frame = F({"k", "n", "m"}, v="pk(k)", w="sign(blind(m, n), k)", u="n")
+    recipes = list(enumerate_recipes(frame, th, 2, dedup=False))
+    ref = dy_blind()
+    assert recipe_images(frame, recipes, th) == [frame.image(r, ref) for r in recipes]
+    assert any(
+        img != App(r.fn, tuple(frame.image(a, ref) for a in r.args))
+        for r, img in zip(recipes, recipe_images(frame, recipes, th))
+        if isinstance(r, App) and r.args
+    )   # some image was rewritten at its root (unblind)
+
+
+def test_recipe_images_keep_the_rewrite_ceiling():
+    looping = Theory(
+        name="loop",
+        signature={"f": 1, "g": 1},
+        rules=(RewriteRule(parse_term("f(X)"), parse_term("g(f(X))")),),  # type: ignore[arg-type]
+        rewrite_ceiling=50,
+    )
+    frame = F(set(), w="a")
+    with pytest.raises(NonTermination):
+        recipe_images(frame, [Var("w"), App("f", (Var("w"),))], looping)
+    with pytest.raises(NonTermination):
+        list(enumerate_recipes(frame, looping, 1))

@@ -100,6 +100,27 @@ def test_nontermination_guard():
         normalize(T("f(a)"), looping)
 
 
+# Each case has its solutions' narrowing variables renamed from ?r20 and
+# up (10 or more rule renamings before them), so their positional names
+# ?0, ?1, ... change if rules skipped by the head filter stop taking
+# their ?r<n> names.
+@pytest.mark.parametrize("theory, s, t, want, truncated", [
+    ("dy-blind", "unblind(k, k)", "snd(fst(x))",
+     ["{x -> pair(pair(?1, unblind(k, k)), ?0)}"], False),
+    ("dy-asym", "adec(x, k)", "adec(fst(y), k)",
+     ["{k -> ?1, y -> pair(x, ?0)}", "{x -> fst(y)}"], False),
+    ("dy-asym", "adec(x, y)", "adec(k, x)",
+     ["{k -> aenc(?1, pk(aenc(?1, pk(?0)))), x -> aenc(?1, pk(?0)), y -> ?0}",
+      "{k -> aenc(adec(?0, y), pk(?0)), x -> ?0}",
+      "{x -> k, y -> k}"], True),
+])
+def test_unify_mod_narrowing_names_are_pinned(theory, s, t, want, truncated):
+    th = dy_blind() if theory == "dy-blind" else dy_asym()
+    got = unify_mod(T(s), T(t), th)
+    assert [repr(sub) for sub in got] == want
+    assert got.truncated is truncated
+
+
 def test_normalize_matches_brute_force_oracle():
     cases = [
         "adec(aenc(y, pk(k)), k)",
