@@ -22,7 +22,8 @@ from typing import Iterable, NamedTuple, Optional
 
 from . import frames as frames_mod
 from .frames import (
-    Distinguished as StaticDistinguished, Frame, enumerate_recipes, recipe_images,
+    Distinguished as StaticDistinguished, Frame, _recipe_key, enumerate_recipes,
+    recipe_images,
 )
 from .lts import (
     History, InputSchema, NotPiFragment, ReplicationUnbounded, Transition,
@@ -35,9 +36,10 @@ from .syntax import (
     promote, substitute, unfold_replication,
 )
 from .terms import (
-    App, Substitution, Term, Theory, Var, apply_map,
-    free_vars as term_free_vars, normalize, render_term, subterms,
-    syntactic_unify, term_size, unify_mod,
+    App, Substitution, Term, Theory, Var, _generated_renaming, _inverse,
+    _renamed_term, _shape, apply_map,
+    free_vars as term_free_vars, normalize, render_term, solved_unifier,
+    subterms, syntactic_unify, unify_mod,
 )
 
 __all__ = [
@@ -273,106 +275,6 @@ def _demand_patterns(th: Theory) -> tuple[tuple[Term, ...], ...]:
         pats = tuple(out)
         th._aux["demand_patterns"] = pats
     return pats
-
-
-def _generated_renaming(names: Iterable[str]) -> dict[str, str]:
-    """An order-preserving renaming of generated names onto canonical ones.
-
-    Generated names are ``base#digits``.  For each base, the digit strings
-    form a forest under the prefix relation (``12`` is the parent of
-    ``123``); each is renamed to its parent's new digits followed by its rank
-    among its siblings, padded to the siblings' common width.  Any two names
-    then compare, and are prefixes of each other, exactly as before: these
-    are the only relations between names that the sorts by rendered terms
-    can observe, so a computation on renamed inputs gives the renamed
-    result.  A base with a suffix that is not a digit string is left as it
-    is.
-    """
-    ordered = sorted(x for x in names if "#" in x)
-    ren: dict[str, str] = {}
-    i, n = 0, len(ordered)
-    while i < n:
-        cut = ordered[i].index("#") + 1
-        head = ordered[i][:cut]
-        j = i + 1
-        while j < n and ordered[j].startswith(head):   # one base: contiguous
-            j += 1
-        group = ordered[i:j]
-        i = j
-        digits = [x[cut:] for x in group]
-        joined = "".join(digits)
-        if not (all(digits) and joined.isascii() and joined.isdigit()):
-            continue
-        ren.update(_prefix_forest_renaming(head, digits))
-    return ren
-
-
-def _prefix_forest_renaming(head: str, digits: list[str]) -> dict[str, str]:
-    """The renaming of _generated_renaming for one base, from its sorted
-    digit strings, in one pass that builds the prefix forest."""
-    children: dict[Optional[str], list[str]] = {None: []}
-    stack: list[str] = []
-    for d in digits:
-        while stack and not d.startswith(stack[-1]):
-            stack.pop()
-        children[stack[-1] if stack else None].append(d)
-        children[d] = []
-        stack.append(d)
-    new: dict[Optional[str], str] = {None: ""}
-    ren: dict[str, str] = {}
-    todo: list[Optional[str]] = [None]
-    while todo:
-        parent = todo.pop()
-        kids = children[parent]
-        width = len(str(len(kids) - 1))
-        for k, d in enumerate(kids):
-            new[d] = new[parent] + str(k).zfill(width)
-            ren[head + d] = head + new[d]
-            todo.append(d)
-    return ren
-
-
-def _shape(t: Term, th: Theory) -> tuple[Term, tuple[str, ...]]:
-    """`t` with its generated names replaced by the holes ``#0``, ``#1``...
-    in order of first occurrence, and those names.  Memoized in the
-    theory's ``term_shapes`` table on the term."""
-    memo = th._aux.setdefault("term_shapes", {})
-    got = memo.get(t)
-    if got is None:
-        names: list[str] = []
-        got = memo[t] = (_holes(t, names), tuple(names))
-    return got
-
-
-def _holes(t: Term, names: list[str]) -> Term:
-    if isinstance(t, Var):
-        if "#" not in t.name:
-            return t
-        if t.name not in names:
-            names.append(t.name)
-        return Var(f"#{names.index(t.name)}")
-    if not any("#" in x for x in term_free_vars(t)):
-        return t
-    return App(t.fn, tuple(_holes(a, names) for a in t.args))
-
-
-def _renamed_term(t: Term, ren: dict[str, str], th: Theory) -> Term:
-    """`t` renamed by `ren`, built once per shape and names (the theory's
-    ``term_fills`` table), so equal renamed terms are one object."""
-    shape, names = _shape(t, th)
-    if not names:
-        return t
-    names = tuple([ren.get(x, x) for x in names])
-    memo = th._aux.setdefault("term_fills", {})
-    got = memo.get((shape, names))
-    if got is None:
-        got = memo[(shape, names)] = apply_map(
-            shape, {f"#{i}": Var(x) for i, x in enumerate(names)})
-    return got
-
-
-def _inverse(ren: dict[str, str]) -> dict[str, Term]:
-    return {y: Var(x) for x, y in ren.items()}
 
 
 class _StateView(NamedTuple):
@@ -630,7 +532,8 @@ def _legal_unify(a: Term, b: Term, th: Theory) -> bool:
     (spelled with '?').  Process variables are rigid here: world moves that
     refine them regenerate the candidate set at the refined node, so only
     exact shapes are relevant at the current one.  Memoized in the theory's
-    ``legal_unify`` table on the term pair."""
+    ``legal_unify`` table on the term pair: sibling nodes of one game test
+    the same images against the same guards."""
     memo = th._aux.setdefault("legal_unify", {})
     got = memo.get((a, b))
     if got is None:
@@ -639,15 +542,20 @@ def _legal_unify(a: Term, b: Term, th: Theory) -> bool:
 
 
 def _legal_unify_raw(a: Term, b: Term) -> bool:
-    mgu = syntactic_unify([(a, b)])
-    if mgu is None:
+    """_legal_unify without its memo.  Decided on the unifier's triangular
+    solved form, without resolving it into a Substitution: a rigid variable
+    may only be bound to a term that resolves to a '?' variable (a
+    reorientable renaming into it)."""
+    solved = solved_unifier([(a, b)])
+    if solved is None:
         return False
-    for x, t in mgu.bindings:
+    for x, t in solved.items():
         if x.startswith("?"):
             continue
-        if isinstance(t, Var) and t.name.startswith("?"):
-            continue  # reorientable renaming into a rule/narrowing variable
-        return False
+        while type(t) is Var and t.name in solved:
+            t = solved[t.name]
+        if type(t) is not Var or not t.name.startswith("?"):
+            return False
     return True
 
 
@@ -758,52 +666,52 @@ def _payload_candidates_raw(
                         if isinstance(rng, App) and not x.startswith("?d"):
                             patterns.append(rng)
 
+    # every target is an application: an application image can only unify
+    # with the targets of its head symbol and arity, a variable image with
+    # any target
     targets = list(dict.fromkeys(guard_subs + patterns))
     by_head: dict[tuple[str, int], list[Term]] = {}
-    var_targets: list[Term] = []
     for g in targets:
-        if isinstance(g, App):
-            by_head.setdefault((g.fn, len(g.args)), []).append(g)
-        else:
-            var_targets.append(g)
+        by_head.setdefault((g.fn, len(g.args)), []).append(g)
+    verdicts: dict[Term, bool] = {}     # image -> can it interact?
 
-    def relevant(image_a: Term, image_b: Term) -> bool:
-        for img in (image_a, image_b):
-            if isinstance(img, App):
-                group = by_head.get((img.fn, len(img.args)), ())
-            else:
-                group = targets
+    def interacts(img: Term) -> bool:
+        if isinstance(img, App):
+            group = by_head.get((img.fn, len(img.args)), ())
+        else:
+            group = targets
+        if not group:
+            return False
+        got = verdicts.get(img)
+        if got is None:
+            got = False
             for g in group:
                 if _legal_unify(img, g, th):
-                    return True
-            if isinstance(img, App):
-                for g in var_targets:
-                    if _legal_unify(img, g, th):
-                        return True
-        return False
+                    got = True
+                    break
+            verdicts[img] = got
+        return got
 
-    kept: list[Term] = [Var(gen_fresh_name)]
-    seen_images: set[tuple[Term, Term]] = set()
-    seen_images.add((frame_a.image(kept[0], th), frame_b.image(kept[0], th)))
-
+    # A recipe is kept when no kept recipe before it has its pair of images
+    # and, unless it is a variable, one of its images can interact; the
+    # fresh variable comes first.
+    fresh = Var(gen_fresh_name)
+    seen: set[tuple[Term, Term]] = {(frame_a.image(fresh, th),
+                                     frame_b.image(fresh, th))}
     recipes, images_a = _recipe_images(frame_a, th, cfg.recipe_depth, publics,
                                        gen_fresh_name)
     _, images_b = _recipe_images(frame_b, th, cfg.recipe_depth, publics,
                                  gen_fresh_name)
+    kept: list[Term] = []
     for r, ia, ib in zip(recipes, images_a, images_b):
-        if isinstance(r, Var) and r.name == gen_fresh_name:
-            continue
         key = (ia, ib)
-        if key in seen_images:
+        if key in seen:
             continue
-        atom = isinstance(r, Var)
-        if not atom and not relevant(ia, ib):
-            continue
-        seen_images.add(key)
-        kept.append(r)
-    kept.sort(key=lambda t: (0 if isinstance(t, Var) and t.name == gen_fresh_name else 1,
-                             term_size(t), render_term(t)))
-    return kept
+        if isinstance(r, Var) or interacts(ia) or interacts(ib):
+            seen.add(key)
+            kept.append(r)
+    kept.sort(key=_recipe_key)
+    return [fresh] + kept
 
 
 # ---------------------------------------------------------------------------

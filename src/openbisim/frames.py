@@ -235,8 +235,18 @@ def enumerate_recipes(
     dedup: bool = True,
 ) -> Iterator[Term]:
     """All recipes of constructor depth <= depth over the frame domain, the
-    given public variables, and the theory symbols; deduplicated by the
-    normal form of their image under the frame; ordered by (size, lex)."""
+    given public variables, and the theory symbols, layer by layer (atoms,
+    then each constructor depth), each layer ordered by (size, rendering).
+
+    With `dedup`, a recipe is left out when the normal form of its image
+    under the frame is that of a recipe listed before it.  Without it every
+    recipe is listed, and each constructor layer after the first lists the
+    layer before it again, since it applies the symbols to all earlier
+    recipes.
+
+    The (size, rendering) sort key of a compound recipe is built from the
+    keys of its arguments, which are always listed earlier
+    (_key_from_args), in a table that lives as long as the enumeration."""
     atoms: list[Term] = [Var(x) for x in frame.order]
     atoms += [Var(v) for v in publics if v not in frame.domain]
     atoms += [Var(v) for v in fresh]
@@ -244,11 +254,11 @@ def enumerate_recipes(
         if arity == 0:
             atoms.append(App(fn, ()))
 
+    keys = {a: _recipe_key(a) for a in atoms}
     images: dict[Term, Term] = {}     # of the kept recipes, when dedup
     seen_images: set[Term] = set()
     layer: list[Term] = []
-    out: list[Term] = []
-    for a in sorted(atoms, key=_recipe_key):
+    for a in sorted(atoms, key=keys.__getitem__):
         if dedup:
             img = frame.image(a, th)
             if img in seen_images:
@@ -256,8 +266,7 @@ def enumerate_recipes(
             seen_images.add(img)
             images[a] = img
         layer.append(a)
-        out.append(a)
-    yield from sorted(out, key=_recipe_key)
+    yield from layer
 
     all_recipes = list(layer)
     for _ in range(depth):
@@ -273,12 +282,23 @@ def enumerate_recipes(
                         continue
                     seen_images.add(img)
                     images[r] = img
+                keys[r] = _key_from_args(r, keys)
                 new_layer.append(r)
-        new_layer.sort(key=_recipe_key)
+        new_layer.sort(key=keys.__getitem__)
         yield from new_layer
         all_recipes += new_layer
         if not new_layer:
             return
+
+
+def _key_from_args(r: Term, keys: dict[Term, tuple[int, str]]) -> tuple[int, str]:
+    """_recipe_key(r), with the keys of a compound recipe's arguments taken
+    from `keys`."""
+    if isinstance(r, App) and r.args:
+        arg_keys = [keys[a] for a in r.args]
+        return (1 + sum([k[0] for k in arg_keys]),
+                f"{r.fn}({', '.join([k[1] for k in arg_keys])})")
+    return _recipe_key(r)
 
 
 def deducible(

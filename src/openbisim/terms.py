@@ -407,6 +407,17 @@ def eq_mod(s: Term, t: Term, th: Theory) -> bool:
 
 def syntactic_unify(pairs: Sequence[tuple[Term, Term]]) -> Optional[Substitution]:
     """Most general syntactic unifier of the pairs, or None."""
+    solved = solved_unifier(pairs)
+    if solved is None:
+        return None
+    return Substitution.of({x: _resolved(t, solved) for x, t in solved.items()})
+
+
+def solved_unifier(pairs: Sequence[tuple[Term, Term]]) -> Optional[dict[str, Term]]:
+    """The most general syntactic unifier of the pairs in triangular form,
+    or None.  A variable is bound to a term whose variables may be bound in
+    turn; the map is acyclic.  syntactic_unify resolves it into a
+    Substitution; a caller that only inspects the bindings need not."""
     for a, b in pairs:
         if isinstance(a, App) and isinstance(b, App) and (
             a.fn != b.fn or len(a.args) != len(b.args)
@@ -431,7 +442,7 @@ def syntactic_unify(pairs: Sequence[tuple[Term, Term]]) -> Optional[Substitution
             if a.fn != b.fn or len(a.args) != len(b.args):
                 return None
             work.extend(zip(a.args, b.args))
-    return Substitution.of({x: _resolved(t, solved) for x, t in solved.items()})
+    return solved
 
 
 def _resolve(t: Term, solved: dict[str, Term]) -> Term:
@@ -451,6 +462,9 @@ def _occurs(x: str, t: Term, solved: dict[str, Term]) -> bool:
     t = _resolve(t, solved)
     if isinstance(t, Var):
         return t.name == x
+    fv = free_vars(t)
+    if solved.keys().isdisjoint(fv):     # nothing below resolves further
+        return x in fv
     return any(_occurs(x, a, solved) for a in t.args)
 
 
@@ -484,6 +498,115 @@ def _match(p: Term, u: Term, pattern_vars: frozenset[str],
     if isinstance(u, Var) or p.fn != u.fn or len(p.args) != len(u.args):
         return False
     return all(_match(a, b, pattern_vars, bindings) for a, b in zip(p.args, u.args))
+
+
+# ---------------------------------------------------------------------------
+# Generated names up to renaming
+#
+# The memo tables of the unifier here and of the world refinements and
+# payload candidates in bisim all key terms up to one renaming of generated
+# names, so that problems differing only in session-minted names share one
+# entry.
+
+
+def _generated_renaming(names: Iterable[str]) -> dict[str, str]:
+    """An order-preserving renaming of generated names onto canonical ones.
+
+    Generated names are ``base#digits``.  For each base, the digit strings
+    form a forest under the prefix relation (``12`` is the parent of
+    ``123``); each is renamed to its parent's new digits followed by its rank
+    among its siblings, padded to the siblings' common width.  Any two names
+    then compare, and are prefixes of each other, exactly as before: these
+    are the only relations between names that the sorts by rendered terms
+    can observe, so a computation on renamed inputs gives the renamed
+    result.  A base with a suffix that is not a digit string is left as it
+    is.
+    """
+    ordered = sorted(x for x in names if "#" in x)
+    ren: dict[str, str] = {}
+    i, n = 0, len(ordered)
+    while i < n:
+        cut = ordered[i].index("#") + 1
+        head = ordered[i][:cut]
+        j = i + 1
+        while j < n and ordered[j].startswith(head):   # one base: contiguous
+            j += 1
+        group = ordered[i:j]
+        i = j
+        digits = [x[cut:] for x in group]
+        joined = "".join(digits)
+        if not (all(digits) and joined.isascii() and joined.isdigit()):
+            continue
+        ren.update(_prefix_forest_renaming(head, digits))
+    return ren
+
+
+def _prefix_forest_renaming(head: str, digits: list[str]) -> dict[str, str]:
+    """The renaming of _generated_renaming for one base, from its sorted
+    digit strings, in one pass that builds the prefix forest."""
+    children: dict[Optional[str], list[str]] = {None: []}
+    stack: list[str] = []
+    for d in digits:
+        while stack and not d.startswith(stack[-1]):
+            stack.pop()
+        children[stack[-1] if stack else None].append(d)
+        children[d] = []
+        stack.append(d)
+    new: dict[Optional[str], str] = {None: ""}
+    ren: dict[str, str] = {}
+    todo: list[Optional[str]] = [None]
+    while todo:
+        parent = todo.pop()
+        kids = children[parent]
+        width = len(str(len(kids) - 1))
+        for k, d in enumerate(kids):
+            new[d] = new[parent] + str(k).zfill(width)
+            ren[head + d] = head + new[d]
+            todo.append(d)
+    return ren
+
+
+def _shape(t: Term, th: Theory) -> tuple[Term, tuple[str, ...]]:
+    """`t` with its generated names replaced by the holes ``#0``, ``#1``...
+    in order of first occurrence, and those names.  Memoized in the
+    theory's ``term_shapes`` table on the term."""
+    memo = th._aux.setdefault("term_shapes", {})
+    got = memo.get(t)
+    if got is None:
+        names: list[str] = []
+        got = memo[t] = (_holes(t, names), tuple(names))
+    return got
+
+
+def _holes(t: Term, names: list[str]) -> Term:
+    if isinstance(t, Var):
+        if "#" not in t.name:
+            return t
+        if t.name not in names:
+            names.append(t.name)
+        return Var(f"#{names.index(t.name)}")
+    if not any("#" in x for x in free_vars(t)):
+        return t
+    return App(t.fn, tuple(_holes(a, names) for a in t.args))
+
+
+def _renamed_term(t: Term, ren: dict[str, str], th: Theory) -> Term:
+    """`t` renamed by `ren`, built once per shape and names (the theory's
+    ``term_fills`` table), so equal renamed terms are one object."""
+    shape, names = _shape(t, th)
+    if not names:
+        return t
+    names = tuple([ren.get(x, x) for x in names])
+    memo = th._aux.setdefault("term_fills", {})
+    got = memo.get((shape, names))
+    if got is None:
+        got = memo[(shape, names)] = apply_map(
+            shape, {f"#{i}": Var(x) for i, x in enumerate(names)})
+    return got
+
+
+def _inverse(ren: dict[str, str]) -> dict[str, Term]:
+    return {y: Var(x) for x, y in ren.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +692,45 @@ def unify_mod(s: Term, t: Term, th: Theory) -> UnifierSet:
     and sound: eq_mod(s sigma, t sigma).  Deterministic order: lexicographic
     on (domain variable, rendered range term) tuples.
 
+    Memoized in the theory's unifier table on the exact problem and on the
+    problem with its generated names renamed by _generated_renaming.  A
+    problem met first is solved renamed (_unify_mod_raw); a problem that
+    differs from an earlier one only in generated names reads the renamed
+    problem's entry.  Either way the unifiers are renamed back in domain
+    and range: the renaming keeps every comparison and prefix relation
+    between names, so the solver's answer to the renamed problem is its
+    answer to the problem, renamed, in the same order.
+    """
+    key = (s, t)
+    cached = th._unify_cache.get(key)
+    if cached is not None:
+        return cached
+    ren = _generated_renaming(free_vars(s) | free_vars(t))
+    if not ren:
+        result = th._unify_cache[key] = _unify_mod_raw(s, t, th)
+        return result
+    canonical_key = (_renamed_term(s, ren, th), _renamed_term(t, ren, th))
+    canonical = th._unify_cache.get(canonical_key)
+    if canonical is None:
+        canonical = th._unify_cache[canonical_key] = _unify_mod_raw(*canonical_key, th)
+    result = canonical
+    if canonical_key != key:
+        back = _inverse(ren)
+        result = UnifierSet(
+            tuple(_renamed_unifier(sub, back) for sub in canonical),
+            canonical.truncated)
+    th._unify_cache[key] = result
+    return result
+
+
+def _renamed_unifier(sub: Substitution, ren: dict[str, Var]) -> Substitution:
+    return Substitution(tuple(
+        (ren[x].name if x in ren else x, apply_map(r, ren)) for x, r in sub.bindings))
+
+
+def _unify_mod_raw(s: Term, t: Term, th: Theory) -> UnifierSet:
+    """unify_mod without its memo.
+
     A narrowing step tries a rule at a position only when the rule's left
     side has the head symbol and arity of the subterm there; no other rule
     can unify with it.  Every rule tried or skipped still takes its block of
@@ -576,11 +738,6 @@ def unify_mod(s: Term, t: Term, th: Theory) -> UnifierSet:
     the filter: _canonical_unifier numbers the narrowing variables left in
     a solution by their sorted names, where ?r10 sorts before ?r9.
     """
-    key = (s, t)
-    cached = th._unify_cache.get(key)
-    if cached is not None:
-        return cached
-
     keep = free_vars(s) | free_vars(t)
     renamed = 0     # ?r<n> names handed out so far
     found: dict[Substitution, None] = {}
@@ -641,9 +798,7 @@ def unify_mod(s: Term, t: Term, th: Theory) -> UnifierSet:
         minimal,
         key=lambda sub: tuple((x, render_term(r)) for x, r in sub.bindings),
     )
-    result = UnifierSet(tuple(ordered), truncated)
-    th._unify_cache[key] = result
-    return result
+    return UnifierSet(tuple(ordered), truncated)
 
 
 # ---------------------------------------------------------------------------

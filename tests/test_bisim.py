@@ -430,3 +430,116 @@ def test_recipe_images_are_faithful(name, sweep):
             1 for r, img in by_recipe.items() if isinstance(r, App) and r.args
             and img != App(r.fn, tuple(by_recipe[a] for a in r.args)))
     assert root_rewrites
+
+
+# ---------------------------------------------------------------------------
+# The unifier table up to renaming, and the lean legality test of payloads
+
+from openbisim import bisim, terms
+from openbisim.logic import distinguish
+from openbisim.terms import apply_map, free_vars, syntactic_unify, unify_mod
+
+RECORDED = ("aenc-under-refinement", "lem-choice", "pair-mismatch-worlds",
+            "blind-forgery")
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    """Each entry checked and, when distinguished, model-checked through
+    `distinguish` on a theory of its own: the theory and the (image, target)
+    pairs the payload relevance filter tested."""
+    pairs = []
+    lean = bisim._legal_unify_raw
+
+    def recording(a, b):
+        pairs.append((a, b))
+        return lean(a, b)
+
+    out = {}
+    bisim._legal_unify_raw = recording
+    try:
+        for name in RECORDED:
+            entry = next(e for e in corpus.ENTRIES if e.name == name)
+            th = load_theory(corpus.path(entry.theory))
+            cfg = CheckConfig(recipe_depth=entry.recipe_depth,
+                              max_depth=entry.max_depth)
+            a, b = parse(corpus.read(entry.left)), parse(corpus.read(entry.right))
+            del pairs[:]
+            if isinstance(quasi_open_check(a, b, th, cfg), DistinguishedVerdict):
+                distinguish(a, b, th, cfg)
+            out[name] = (th, list(pairs))
+    finally:
+        bisim._legal_unify_raw = lean
+    return out
+
+
+def _shift_names(t):
+    """`t` with every generated name base#d renamed base#9d."""
+    return apply_map(t, {x: Var(x.replace("#", "#9", 1))
+                         for x in free_vars(t) if "#" in x})
+
+
+@pytest.mark.parametrize("name", RECORDED)
+def test_unify_mod_renamed_memo_is_faithful(name, recorded, monkeypatch):
+    # every problem in the table (the ones met, and their renamed forms)
+    # has the raw solver's answer on a fresh theory, in order
+    th, _ = recorded[name]
+    ref = load_theory(corpus.path(
+        next(e for e in corpus.ENTRIES if e.name == name).theory))
+    raw = terms._unify_mod_raw
+    problems = list(th._unify_cache)
+    assert problems
+    for s, t in problems:
+        assert th._unify_cache[(s, t)] == raw(s, t, ref), (s, t)
+    # a copy with generated names shifted is served from the original's
+    # entry, renamed back
+    shifted = [(_shift_names(s), _shift_names(t)) for s, t in problems]
+    assert any(p != q for p, q in zip(problems, shifted))
+    solved = []
+    monkeypatch.setattr(terms, "_unify_mod_raw",
+                        lambda *args: solved.append(args) or raw(*args))
+    for s, t in shifted:
+        assert unify_mod(s, t, th) == raw(s, t, ref), (s, t)
+    assert solved == []
+
+
+def _legal_by_mgu(a, b):
+    """The legality of a payload image against a target, defined on the
+    resolved most general unifier."""
+    mgu = syntactic_unify([(a, b)])
+    if mgu is None:
+        return False
+    return all(x.startswith("?") or (isinstance(t, Var) and t.name.startswith("?"))
+               for x, t in mgu.bindings)
+
+
+def _q(text):
+    """A term where `?` may start a variable name."""
+    t = terms.parse_term(text.replace("?", "Q_"))
+    return apply_map(t, {x: Var("?" + x[2:]) for x in free_vars(t)
+                         if x.startswith("Q_")})
+
+
+HAND_CASES = [
+    ("?a", "x", True),                          # ? variable bound to a rigid one
+    ("x", "?a", True),                          # rigid one reoriented onto it
+    ("?a", "hash(?a)", False),                  # occurs check
+    ("pair(?a, ?a)", "pair(x, y)", False),      # ?a := x forces x = y
+    ("pair(x, x)", "pair(y, ?a)", False),       # x := ?a, then ?a := y
+    ("pair(x, x)", "pair(hash(k), ?a)", False),  # x := ?a, then ?a := hash(k)
+    ("pair(?z, x)", "pair(hash(y), ?0)", True),  # fresh-payload placeholder
+    ("aenc(x, pk(?z))", "aenc(?0, pk(k))", True),
+    ("hash(x)", "hash(pair(?0, ?1))", False),   # a rigid name bound to a term
+]
+
+
+def test_legal_unify_matches_mgu_definition(recorded):
+    for image, target, legal in HAND_CASES:
+        a, b = _q(image), _q(target)
+        assert _legal_by_mgu(a, b) == legal, (image, target)
+        assert bisim._legal_unify_raw(a, b) == legal, (image, target)
+    pairs = [p for _, recorded_pairs in recorded.values() for p in recorded_pairs]
+    assert any(_legal_by_mgu(a, b) for a, b in pairs)
+    assert not all(_legal_by_mgu(a, b) for a, b in pairs)
+    for a, b in pairs:
+        assert bisim._legal_unify_raw(a, b) == _legal_by_mgu(a, b), (a, b)

@@ -5,12 +5,13 @@ import itertools
 import pytest
 
 from openbisim.frames import (
-    Distinguished, Equivalent, Frame, UnknownAtDepth, deducible,
+    Distinguished, Equivalent, Frame, UnknownAtDepth, _key_from_args, deducible,
     enumerate_recipes, recipe_images, static_equiv,
 )
 from openbisim.terms import (
     App, NonTermination, RewriteRule, Substitution, Theory, Var, dy_asym,
-    dy_blind, eq_mod, free_vars, parse_term, parse_theory, term_size,
+    dy_blind, eq_mod, free_vars, parse_term, parse_theory, render_term,
+    term_size,
 )
 
 TH = dy_asym()
@@ -254,3 +255,83 @@ def test_recipe_images_keep_the_rewrite_ceiling():
         recipe_images(frame, [Var("w"), App("f", (Var("w"),))], looping)
     with pytest.raises(NonTermination):
         list(enumerate_recipes(frame, looping, 1))
+
+
+# ---------------------------------------------------------------------------
+# Recipe sort keys built bottom-up
+
+
+def rendered_enumeration(frame, th, depth, publics, fresh, dedup):
+    """enumerate_recipes with every recipe rendered for its sort key, and
+    duplicates found by normalizing each instantiated recipe."""
+    def key(r):
+        return (term_size(r), render_term(r))
+
+    atoms = [Var(x) for x in frame.order]
+    atoms += [Var(v) for v in publics if v not in frame.domain]
+    atoms += [Var(v) for v in fresh]
+    atoms += [App(fn, ()) for fn, arity in th.symbols() if arity == 0]
+    seen = set()
+    layer = []
+    for a in sorted(atoms, key=key):
+        if dedup:
+            img = frame.image(a, th)
+            if img in seen:
+                continue
+            seen.add(img)
+        layer.append(a)
+    out = list(layer)
+    for _ in range(depth):
+        new_layer = []
+        for fn, arity in th.symbols():
+            if arity == 0:
+                continue
+            for args in itertools.product(out, repeat=arity):
+                r = App(fn, args)
+                if dedup:
+                    img = frame.image(r, th)
+                    if img in seen:
+                        continue
+                    seen.add(img)
+                new_layer.append(r)
+        new_layer.sort(key=key)
+        out += new_layer
+        if not new_layer:
+            break
+    return out
+
+
+@pytest.mark.parametrize("name, frames", [
+    ("server-a-vs-b", 2), ("lem-choice", 1), ("blind-forgery", 1)])
+def test_recipe_keys_match_rendering(name, frames):
+    # the frames the payload layer enumerated while checking the entry (the
+    # ones with the fewest atoms: depth 2 grows as the square of the
+    # recipes of depth 1), under the entry's theory with a nullary constant
+    # added, at depth 2
+    from openbisim import corpus
+    from openbisim.bisim import CheckConfig, quasi_open_check
+    from openbisim.syntax import parse
+    from openbisim.terms import load_theory
+
+    entry = next(e for e in corpus.ENTRIES if e.name == name)
+    th = load_theory(corpus.path(entry.theory))
+    quasi_open_check(parse(corpus.read(entry.left)), parse(corpus.read(entry.right)),
+                     th, CheckConfig(recipe_depth=entry.recipe_depth,
+                                     max_depth=entry.max_depth))
+    with_constant = parse_theory(corpus.read(entry.theory) + "\nsym ok/0\n")
+    uses = sorted({(len(order) + len(publics), privates, bindings, order, publics, fresh)
+                   for privates, bindings, order, publics, fresh, _
+                   in th._aux["recipe_images"]}, key=lambda use: (use[0], repr(use)))
+    assert uses
+    for _, privates, bindings, order, publics, fresh in uses[:frames]:
+        frame = Frame(privates, Substitution(bindings), order)
+        for dedup in (True, False):
+            got = list(enumerate_recipes(frame, with_constant, 2, publics=publics,
+                                         fresh=(fresh,), dedup=dedup))
+            assert App("ok", ()) in got
+            assert got == rendered_enumeration(frame, with_constant, 2, publics,
+                                               (fresh,), dedup)
+            keys = {}
+            for r in got:
+                keys[r] = _key_from_args(r, keys)
+                assert keys[r] == (term_size(r), render_term(r))
