@@ -310,7 +310,7 @@ def cmd_model_check(args) -> int:
             formula = parse_formula(fh.read().strip())
     except OSError as exc:
         _die(EX_NOINPUT, str(exc))
-    except ValueError as exc:
+    except (ValueError, TheoryError) as exc:   # TheoryError: a bad term
         _die(EX_NOINPUT, f"{args.formula}: {exc}")
     if cfg.mode == "late-pi":
         result = check_pi(proc, formula, th, cfg)

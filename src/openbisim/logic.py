@@ -33,8 +33,8 @@ from .syntax import (
     guard_pairs, promote, substitute,
 )
 from .terms import (
-    Substitution, Term, Theory, Var, eq_mod, free_vars, normalize, parse_term,
-    render_term,
+    MAX_NESTING, Substitution, Term, Theory, Var, eq_mod, free_vars, normalize,
+    parse_term, render_term,
 )
 
 __all__ = [
@@ -584,10 +584,23 @@ _FORMULA_TOKEN = {
 }
 
 
+class _TooDeep(ValueError):
+    pass
+
+
 class _FParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0      # nesting of the formula being parsed
+
+    def descend(self) -> None:
+        """Enter one more level of nesting, refusing formulas nested deeper
+        than MAX_NESTING.  Callers restore `depth` when the level ends."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _TooDeep(f"at most {MAX_NESTING} levels of nesting "
+                           f"(offset {self.pos})")
 
     def _ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -639,25 +652,34 @@ class _FParser:
         self.pos = start + len(self.text[start:i])
         return parse_term(text)
 
+    # Implications nest to the right and chains of & and \/ to the left,
+    # one level per operator; a modality or a parenthesis is one level too.
     def formula(self) -> Formula:
+        base = self.depth
         left = self.disjunct()
         if self.eat("=>"):
-            return Implies(left, self.formula())
+            self.descend()
+            left = Implies(left, self.formula())
+        self.depth = base
         return left
 
     def disjunct(self) -> Formula:
         # '\/' for disjunction; '|' kept as alias
+        base = self.depth
         out = self.conjunct()
-        while True:
-            if self.eat("\\/") or (self.peek("|") and not self.peek("|=") and self.eat("|")):
-                out = Or(out, self.conjunct())
-            else:
-                return out
+        while self.eat("\\/") or (self.peek("|") and not self.peek("|=") and self.eat("|")):
+            self.descend()
+            out = Or(out, self.conjunct())
+        self.depth = base
+        return out
 
     def conjunct(self) -> Formula:
+        base = self.depth
         out = self.unary()
         while self.eat("&"):
+            self.descend()
             out = And(out, self.unary())
+        self.depth = base
         return out
 
     def unary(self) -> Formula:
@@ -666,23 +688,35 @@ class _FParser:
             return Top()
         if self.eat("ff"):
             return Bottom()
+        base = self.depth
         if self.eat("<"):
             lab = self.label()
             self.expect(">")
-            return Diamond(lab, self.unary())
+            self.descend()
+            f = Diamond(lab, self.unary())
+            self.depth = base
+            return f
         if self.eat("["):
             lab = self.label()
             self.expect("]")
-            return Box(lab, self.unary())
+            self.descend()
+            f = Box(lab, self.unary())
+            self.depth = base
+            return f
         if self.peek("("):
             save = self.pos
             self.eat("(")
+            self.descend()
             try:
                 inner = self.formula()
                 self.expect(")")
+                self.depth = base
                 return inner
+            except _TooDeep:
+                raise
             except ValueError:
-                self.pos = save  # a parenthesised term, fall through
+                # a parenthesised term, fall through
+                self.pos, self.depth = save, base
         left = self.term()
         self._ws()
         if self.eat("!="):

@@ -503,10 +503,9 @@ def _match(p: Term, u: Term, pattern_vars: frozenset[str],
 # ---------------------------------------------------------------------------
 # Generated names up to renaming
 #
-# The memo tables of the unifier here and of the world refinements and
-# payload candidates in bisim all key terms up to one renaming of generated
-# names, so that problems differing only in session-minted names share one
-# entry.
+# The memo tables of the unifier here and of the payload candidates in
+# bisim key terms up to one renaming of generated names, so that problems
+# differing only in session-minted names share one entry.
 
 
 def _generated_renaming(names: Iterable[str]) -> dict[str, str]:

@@ -307,9 +307,8 @@ def test_depth_bound_returns_unknown():
 
 from openbisim import corpus
 from openbisim.bisim import (
-    _EarlyGame, _StateView, _all_names, _cached_worlds, _generated_renaming,
+    _EarlyGame, _StateView, _all_names, _generated_renaming,
     _payload_candidates, _payload_candidates_raw, _publics, _recipe_images,
-    _representative_worlds,
 )
 from openbisim.frames import Frame
 from openbisim.names import NameGen
@@ -364,7 +363,7 @@ def _shifted(ep, th):
 
 @pytest.mark.parametrize(
     "name", ["server-a-vs-b", "blind-without-equation", "pair-mismatch-worlds"])
-def test_world_and_payload_caches_are_faithful(name):
+def test_payload_cache_is_faithful(name):
     entry = next(e for e in corpus.ENTRIES if e.name == name)
     th = load_theory(corpus.path(entry.theory))
     cfg = CheckConfig(recipe_depth=entry.recipe_depth, max_depth=entry.max_depth)
@@ -377,17 +376,15 @@ def test_world_and_payload_caches_are_faithful(name):
     states = [(n.a, n.b) for n in game.nodes.values()]
     for pa, pb in states:
         _payload_candidates(pa, pb, th, cfg, "?z")
-    entries = (len(th._aux["worlds_cache"]), len(th._aux["payload_cache"]))
+    entries = len(th._aux["payload_cache"])
     shifted = [(_shifted(pa, th), _shifted(pb, th)) for pa, pb in states]
     assert any(s != t for s, t in zip(shifted, states))
     for pa, pb in states + shifted:
         views = (_StateView.of(pa), _StateView.of(pb))
-        assert _cached_worlds(views, th) == _representative_worlds(
-            views, th, (), frozenset())
         assert _payload_candidates(pa, pb, th, cfg, "?z") == \
             _payload_candidates_raw(*views, th, cfg, "?z")
     # the shifted states were served from the entries of the originals
-    assert (len(th._aux["worlds_cache"]), len(th._aux["payload_cache"])) == entries
+    assert len(th._aux["payload_cache"]) == entries
 
 
 @pytest.mark.parametrize("name, sweep", [
@@ -543,3 +540,178 @@ def test_legal_unify_matches_mgu_definition(recorded):
     assert not all(_legal_by_mgu(a, b) for a, b in pairs)
     for a, b in pairs:
         assert bisim._legal_unify_raw(a, b) == _legal_by_mgu(a, b), (a, b)
+
+
+# ---------------------------------------------------------------------------
+# Witness validation shared out over forked workers: the one-process answer,
+# the one-process exception, and no worker left behind
+
+import os
+import threading
+
+from openbisim.syntax import canonical_key
+from openbisim.terms import NonTermination
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+BISIMILAR = [e for e in corpus.ENTRIES
+             if e.expect == "bisimilar" and e.kind in ("bisim", "bisim-pi")
+             and e.name != "hash-and-sign"]   # tests/test_golden.py holds it
+
+
+def _no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _expansions(monkeypatch, log, acts=()):
+    """Append "pid key" to the file `log` for every pair expanded, in
+    whichever process; expanding a pair of `acts`, a list of (pair, act),
+    then calls its `act()`."""
+    by_key = {canonical_key(*pair): act for pair, act in acts}
+    real = _EarlyGame._expand
+
+    def expand(self, node, keep_pairs=False):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {node.key}\n")
+        if node.key in by_key:
+            by_key[node.key]()
+        return real(self, node, keep_pairs)
+
+    monkeypatch.setattr(_EarlyGame, "_expand", expand)
+
+
+def _expanded_by(log, key):
+    """The pids that expanded the pair with `key`, per the log."""
+    with open(log) as fh:
+        return {int(pid) for pid, k in (l.rstrip("\n").split(" ", 1) for l in fh)
+                if k == key}
+
+
+@needs_fork
+@pytest.mark.parametrize("entry", BISIMILAR, ids=lambda e: e.name)
+def test_forked_validation_matches_one_process(entry):
+    pi = entry.kind == "bisim-pi"
+    th = load_theory(corpus.path(entry.theory))
+    cfg = CheckConfig(recipe_depth=entry.recipe_depth, max_depth=entry.max_depth,
+                      mode="late-pi" if pi else "early-applied")
+    game = open_bisim_pi_check if pi else quasi_open_check
+    v = game(parse(corpus.read(entry.left)), parse(corpus.read(entry.right)), th, cfg)
+    assert isinstance(v, Bisimilar)
+    want = validate_witness(v.witness, th, cfg, _processes=1)
+    assert want
+    for processes in (2, 3):
+        assert validate_witness(v.witness, th, cfg, _processes=processes) == want
+        _no_worker_left()
+
+
+@needs_fork
+def test_forked_validation_rejects_every_mutation(monkeypatch, tmp_path):
+    # criterion 11e's mutations: drop any one pair
+    w = check(SERVER_A, SERVER_B).witness
+    log = tmp_path / "expanded"
+    _expansions(monkeypatch, log)
+    failed_in = set()
+    for drop in range(len(w.pairs)):
+        mutated = RelationWitness(w.pairs[:drop] + w.pairs[drop + 1:],
+                                  w.root, w.mode, w.config)
+        # the one-process loop stops at the first pair that fails
+        log.write_text("")
+        assert not validate_witness(mutated, TH, CFG, _processes=1)
+        first_bad = log.read_text().splitlines()[-1:]   # []: the root test failed
+        for processes in (2, 3):
+            log.write_text("")
+            assert not validate_witness(mutated, TH, CFG, _processes=processes), drop
+            _no_worker_left()
+            if first_bad:
+                key = first_bad[0].split(" ", 1)[1]
+                failed_in.add("parent" if _expanded_by(log, key) == {os.getpid()}
+                              else "worker")
+    # the damaged pair fell in the parent's blocks and in a worker's
+    assert failed_in == {"parent", "worker"}
+
+
+@needs_fork
+@pytest.mark.parametrize("victim", [0, 1], ids=["parent-block", "worker-block"])
+def test_exception_of_a_block_is_raised_by_the_parent(victim, monkeypatch, tmp_path):
+    w = check(SERVER_A, SERVER_B).witness
+    log = tmp_path / "expanded"
+
+    def loop():
+        raise NonTermination("rewriting does not terminate")
+
+    _expansions(monkeypatch, log, [(w.pairs[victim], loop)])
+    with pytest.raises(NonTermination):
+        validate_witness(w, TH, CFG, _processes=1)
+    log.write_text("")
+    with pytest.raises(NonTermination):
+        validate_witness(w, TH, CFG, _processes=2)
+    _no_worker_left()
+    # pair 0 is the parent's, pair 1 a worker's; a worker's block is
+    # checked again by the parent, which raises
+    by = _expanded_by(log, canonical_key(*w.pairs[victim]))
+    assert (by == {os.getpid()}) == (victim == 0)
+    assert os.getpid() in by
+
+
+@needs_fork
+def test_earlier_false_wins_over_later_exception(monkeypatch, tmp_path):
+    # pair 1 (a worker's block) fails, pair 2 (the parent's) raises: the
+    # one-process loop stops at pair 1, so the answer is False
+    w = check(SERVER_A, SERVER_B).witness
+
+    def unbounded():
+        raise ReplicationUnbounded("replication requires an unfolding bound")
+
+    def loop():
+        raise NonTermination("rewriting does not terminate")
+
+    log = tmp_path / "expanded"
+    _expansions(monkeypatch, log, [(w.pairs[1], unbounded), (w.pairs[2], loop)])
+    assert validate_witness(w, TH, CFG, _processes=1) is False
+    log.write_text("")
+    assert validate_witness(w, TH, CFG, _processes=2) is False
+    _no_worker_left()
+    assert os.getpid() not in _expanded_by(log, canonical_key(*w.pairs[1]))
+    assert _expanded_by(log, canonical_key(*w.pairs[2])) == {os.getpid()}
+
+
+@needs_fork
+def test_dead_worker_blocks_are_checked_again(monkeypatch, tmp_path):
+    w = check(SERVER_A, SERVER_B).witness
+    parent = os.getpid()
+
+    def die():
+        if os.getpid() != parent:
+            os._exit(3)
+
+    _expansions(monkeypatch, tmp_path / "expanded", [(w.pairs[1], die)])
+    assert validate_witness(w, TH, CFG, _processes=3)
+    _no_worker_left()
+
+
+def _no_fork(*_args):
+    raise AssertionError("a worker was forked")
+
+
+def test_validation_runs_in_one_process_without_fork(monkeypatch):
+    w = check(SERVER_A, SERVER_B).witness
+    monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.setattr(bisim, "_fork", _no_fork)
+    assert validate_witness(w, TH, CFG, _processes=2)
+
+
+def test_small_witness_or_running_thread_is_not_forked(monkeypatch):
+    w = check(SERVER_A, SERVER_B).witness
+    monkeypatch.setattr(bisim, "_fork", _no_fork)
+    assert len(w.pairs) < bisim._FORK_MIN_PAIRS
+    assert validate_witness(w, TH, CFG)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert validate_witness(w, TH, CFG, _processes=2)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()

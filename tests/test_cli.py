@@ -151,9 +151,37 @@ def test_deeply_nested_inputs_exit_66(tmp_path):
 
 
 def test_recursion_too_deep_exits_70(tmp_path):
-    # formulas have no nesting limit: the recursion error is reported
-    formula = tmp_path / "deep.fm"
-    formula.write_text("<tau>" * 150_000 + "tt\n")
-    code, _, err = run(["model-check", corpus_path("server_a.pi"), str(formula), THY])
-    assert code == 70, err[-500:]
-    assert "recursion" in err
+    # every parser refuses inputs deep enough to exhaust the stack, so the
+    # recursion error is raised from inside the checker
+    formula = tmp_path / "f.fm"
+    formula.write_text("<tau>tt\n")
+    script = (
+        "import sys, openbisim.cli as cli\n"
+        "def deep(*args):\n"
+        "    raise RecursionError('maximum recursion depth exceeded')\n"
+        "cli.check = deep\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "model-check", corpus_path("server_a.pi"),
+         str(formula), THY],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 70, proc.stderr[-500:]
+    assert "recursion" in proc.stderr
+
+
+def test_deeply_nested_formulas_exit_66(tmp_path):
+    server = corpus_path("server_a.pi")
+    for levels, code in ((999, 1), (1_001, 66), (150_000, 66)):
+        formula = tmp_path / f"deep{levels}.fm"
+        formula.write_text("<tau>" * levels + "tt\n")
+        got, out, err = run(["model-check", server, str(formula), THY])
+        assert got == code, (levels, err[-500:])
+        assert ("unsat" in out) if code == 1 else ("levels of nesting" in err)
+    # a term nested too deep inside a formula is refused the same way
+    formula = tmp_path / "deep_term.fm"
+    formula.write_text("x = " + "hash(" * 1_001 + "y" + ")" * 1_001 + "\n")
+    got, _, err = run(["model-check", server, str(formula), THY])
+    assert got == 66, err[-500:]
+    assert "nested deeper" in err

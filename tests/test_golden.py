@@ -1,11 +1,12 @@
 """Output pinning: the sha256 of what each corpus entry prints.
 
-For every bundled corpus entry except hash-and-sign (pinned by its own
-witness hash in the CLI checks), the digest covers the rendered witness or
+For every bundled corpus entry, the digest covers the rendered witness or
 strategy of `check-bisim`, the `distinguish` formulas of a distinguished
 pair, and the model-check result, each computed on a freshly loaded theory
 as the command-line front end does.  A change that must keep the output
-byte-identical keeps these digests.
+byte-identical keeps these digests.  Hash-and-sign, the largest witness
+(24,172 pairs), has a test of its own that also validates the witness, on
+the split-over-workers path of `validate_witness`.
 
 Print the digests of the current source with
 
@@ -18,8 +19,8 @@ import pytest
 
 from openbisim import corpus
 from openbisim.bisim import (
-    Bisimilar, CheckConfig, DistinguishedVerdict, open_bisim_pi_check,
-    quasi_open_check,
+    _FORK_MIN_PAIRS, Bisimilar, CheckConfig, DistinguishedVerdict,
+    open_bisim_pi_check, quasi_open_check, validate_witness,
 )
 from openbisim.cli import render_strategy, render_witness
 from openbisim.logic import check, distinguish, parse_formula, pretty_formula
@@ -75,19 +76,26 @@ DIGESTS = {
         "9035ac2d62ab4f4a82b992dea9f73e159e204ede7e2639cd1485eb2304a7a018",
     "broken-trace-right":
         "d598940d9b30a7e86050ae16ba31586432f0fe72dd37cc46bac8e774aecf3dbd",
+    "hash-and-sign":
+        "b34e37f83570cf50067a0bf7fa63e8202d66bf53fd25393936a194fe07051f6b",
 }
 
 ENTRIES = [e for e in corpus.ENTRIES if e.name != "hash-and-sign"]
+HASH_AND_SIGN = next(e for e in corpus.ENTRIES if e.name == "hash-and-sign")
 
 
 def fresh(entry):
     return load_theory(corpus.path(entry.theory))
 
 
+def config(entry) -> CheckConfig:
+    return CheckConfig(recipe_depth=entry.recipe_depth, max_depth=entry.max_depth,
+                       mode="late-pi" if entry.kind == "bisim-pi" else "early-applied")
+
+
 def rendered(entry) -> str:
     """Everything the CLI prints about `entry`, as one text."""
-    cfg = CheckConfig(recipe_depth=entry.recipe_depth, max_depth=entry.max_depth,
-                      mode="late-pi" if entry.kind == "bisim-pi" else "early-applied")
+    cfg = config(entry)
     left = parse(corpus.read(entry.left))
     if entry.kind == "model-check":
         formula = parse_formula(corpus.read(entry.formula))
@@ -114,6 +122,17 @@ def test_corpus_output_is_pinned(entry):
     assert digest(entry) == DIGESTS[entry.name]
 
 
+def test_hash_and_sign_witness_is_pinned_and_validates():
+    entry, th, cfg = HASH_AND_SIGN, fresh(HASH_AND_SIGN), config(HASH_AND_SIGN)
+    verdict = quasi_open_check(parse(corpus.read(entry.left)),
+                               parse(corpus.read(entry.right)), th, cfg)
+    text = render_witness(verdict.witness)
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[entry.name]
+    # far above the pair threshold: split over the usable CPUs
+    assert len(verdict.witness.pairs) >= _FORK_MIN_PAIRS
+    assert validate_witness(verdict.witness, th, cfg)
+
+
 if __name__ == "__main__":
-    for e in ENTRIES:
+    for e in ENTRIES + [HASH_AND_SIGN]:
         print(f'    "{e.name}":\n        "{digest(e)}",')
