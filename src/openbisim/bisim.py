@@ -1409,9 +1409,19 @@ def open_bisim_pi_check(
     frontier = any(n.frontier for n in game.nodes.values())
     if frontier:
         return Unknown("depth bound reached")
-    pairs = tuple(
-        (promote(n.p), promote(n.q)) for n in game.nodes.values()
-    )
-    pi_pairs = tuple((n.h, n.p, n.q) for n in game.nodes.values())
+    # the witness is the alive closure of the root, in exploration order
+    kept, todo = {root_key}, [root_key]
+    while todo:
+        node = game.nodes[todo.pop()]
+        reached = [k for _, k, _minted in node.world_edges]
+        for m in node.side_moves:
+            reached.extend(m.reply_keys())
+        for k in reached:
+            if k not in killed and k not in kept:
+                kept.add(k)
+                todo.append(k)
+    nodes = [n for n in game.nodes.values() if n.key in kept]
+    pairs = tuple((promote(n.p), promote(n.q)) for n in nodes)
+    pi_pairs = tuple((n.h, n.p, n.q) for n in nodes)
     root_pair = (promote(p), promote(q))
     return Bisimilar(RelationWitness(pairs, root_pair, "late-pi", cfg, pi_pairs))

@@ -96,22 +96,45 @@ def render_witness(w: RelationWitness) -> str:
 
 
 def parse_witness(text: str, cfg: CheckConfig) -> RelationWitness:
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or lines[0] != "witness v1":
-        raise ValueError("not a witness file")
-    mode = lines[1].split(" ", 1)[1]
+    """Read a rendered witness; a file of another shape raises ParseError."""
+    raw = text.splitlines()
+    lines = [(n, l) for n, l in enumerate(raw, 1) if l.strip()]
+    end = (len(raw) + 1, "")
+    (n0, first), (n1, second) = (lines + [end, end])[:2]
+    if first != "witness v1":
+        raise ParseError(n0, 1, "'witness v1'", first)
+    if not second.startswith("mode "):
+        raise ParseError(n1, 1, "'mode <mode>'", second)
     root = None
     pairs = []
-    for line in lines[2:]:
-        tag, rest = line.split(" ", 1)
-        l, r = rest.split(" ~~ ")
-        pair = (promote(parse(l)), promote(parse(r)))
+    for n, line in lines[2:]:
+        tag, _, rest = line.partition(" ")
+        if tag not in ("root", "pair"):
+            raise ParseError(n, 1, "'root' or 'pair'", tag)
+        pair = _parse_pair(rest, n, len(tag) + 2)
         if tag == "root":
             root = pair
         else:
             pairs.append(pair)
-    assert root is not None
-    return RelationWitness(tuple(pairs), root, mode, cfg)
+    if root is None:
+        raise ParseError(end[0], 1, "a 'root' line")
+    return RelationWitness(tuple(pairs), root, second[len("mode "):], cfg)
+
+
+def _parse_pair(text: str, n: int, column: int) -> tuple[ExtendedProcess, ExtendedProcess]:
+    """The two processes of `P ~~ Q`, which starts at `column` of line `n`
+    of a witness or strategy file; errors point into that file."""
+    sides = text.split(" ~~ ")
+    if len(sides) != 2:
+        raise ParseError(n, column, "'P ~~ Q'", text)
+    out = []
+    for side in sides:
+        try:
+            out.append(promote(parse(side)))
+        except ParseError as exc:
+            raise ParseError(n, column + exc.column - 1, exc.expected, exc.found) from None
+        column += len(side) + len(" ~~ ")
+    return out[0], out[1]
 
 
 def render_strategy(s, indent: int = 0) -> str:
@@ -144,20 +167,25 @@ def render_strategy(s, indent: int = 0) -> str:
 
 def validate_strategy_text(text: str, th: Theory, cfg: CheckConfig) -> bool:
     """Re-check every leaf of an emitted strategy: static leaves must still
-    distinguish their frames, capability leaves must still be one-sided."""
+    distinguish their frames, capability leaves must still be one-sided.
+    A leaf line of another shape raises ParseError."""
     gen = NameGen()
     ok = True
     checked = 0
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
+        column = raw.index(line) + 1 if line else 1
         if line.startswith("static ") and " at " in line:
             head, at = line.split(" at ", 1)
-            parts = head[len("static "):].split(" equal-on ")
-            recipes, equal_on = parts[0], parts[1]
-            l_txt, r_txt = recipes.split(" vs ")
-            l, r = parse_term(l_txt), parse_term(r_txt)
-            a_txt, b_txt = at.split(" ~~ ")
-            a, b = promote(parse(a_txt)), promote(parse(b_txt))
+            recipes, _, equal_on = head[len("static "):].partition(" equal-on ")
+            l_txt, _, r_txt = recipes.partition(" vs ")
+            if equal_on not in ("a", "b") or not r_txt:
+                raise ParseError(n, column, "'static R vs R equal-on a|b at P ~~ Q'", line)
+            try:
+                l, r = parse_term(l_txt), parse_term(r_txt)
+            except TheoryError:
+                raise ParseError(n, column, "'R vs R' of two recipes", recipes) from None
+            a, b = _parse_pair(at, n, column + len(head) + len(" at "))
             ea = eq_mod(a.frame(l), a.frame(r), th)
             eb = eq_mod(b.frame(l), b.frame(r), th)
             checked += 1
@@ -166,10 +194,11 @@ def validate_strategy_text(text: str, th: Theory, cfg: CheckConfig) -> bool:
         elif line.startswith("capability ") and " at " in line:
             head, at = line.split(" at ", 1)
             bits = head.split(" ", 2)
+            if len(bits) < 3 or bits[1] not in ("left", "right"):
+                raise ParseError(n, column, "'capability left|right LABEL at P ~~ Q'", line)
             side = 0 if bits[1] == "left" else 1
             label = bits[2]
-            a_txt, b_txt = at.split(" ~~ ")
-            a, b = promote(parse(a_txt)), promote(parse(b_txt))
+            a, b = _parse_pair(at, n, column + len(head) + len(" at "))
             mover, other = (a, b) if side == 0 else (b, a)
             checked += 1
             if not _has_label(mover, label, th, gen):
@@ -224,10 +253,13 @@ def cmd_check_bisim(args) -> int:
                 text = fh.read()
         except OSError as exc:
             _die(EX_NOINPUT, str(exc))
-        if text.startswith("witness"):
-            okay = validate_witness(parse_witness(text, cfg), th, cfg)
-        else:
-            okay = validate_strategy_text(text, th, cfg)
+        try:
+            if text.startswith("witness"):
+                okay = validate_witness(parse_witness(text, cfg), th, cfg)
+            else:
+                okay = validate_strategy_text(text, th, cfg)
+        except ParseError as exc:
+            _die(EX_NOINPUT, f"{args.validate}: {exc}")
         print("valid" if okay else "invalid")
         return EX_OK if okay else EX_NO
 
@@ -444,11 +476,7 @@ def _run_entry(e) -> tuple[str, str]:
         return "unknown", verdict.reason
     if e.kind == "model-check":
         formula = parse_formula(corpus_pkg.read(e.formula))
-        if e.kind == "bisim-pi":
-            result = check_pi(left, formula, th, cfg)
-        else:
-            result = check(left, formula, th, cfg)
-        return result.value, ""
+        return check(left, formula, th, cfg).value, ""
     if e.kind == "static":
         right = parse(corpus_pkg.read(e.right))
         verdict = static_equiv(_to_frame(left), _to_frame(right), th)

@@ -121,18 +121,6 @@ def render_term(t: Term) -> str:
     return f"{t.fn}({', '.join(render_term(a) for a in t.args)})"
 
 
-def _encode(t: Term):
-    if isinstance(t, Var):
-        return t.name
-    return (t.fn,) + tuple(_encode(a) for a in t.args)
-
-
-def _decode(e) -> Term:
-    if isinstance(e, str):
-        return Var(e)
-    return App(e[0], tuple(_decode(x) for x in e[1:]))
-
-
 # ---------------------------------------------------------------------------
 # Substitutions
 
@@ -294,7 +282,6 @@ class Theory:
     rewrite_ceiling: int = 10_000
     saturation_complete: Optional[bool] = None
 
-    _encoded: tuple = field(default=(), compare=False, repr=False)
     _nf_cache: dict = field(default_factory=dict, compare=False, repr=False)
     _unify_cache: dict = field(default_factory=dict, compare=False, repr=False)
     _aux: dict = field(default_factory=dict, compare=False, repr=False)
@@ -306,14 +293,6 @@ class Theory:
             for s in itertools.chain(subterms(rule.lhs), subterms(rule.rhs)):
                 if isinstance(s, App):
                     self._check_symbol(s)
-        object.__setattr__(
-            self,
-            "_encoded",
-            tuple(
-                (_encode(r.lhs), _encode(r.rhs), frozenset(r.variables()))
-                for r in self.rules
-            ),
-        )
         if self.saturation_complete is None:
             object.__setattr__(
                 self, "saturation_complete",
@@ -364,15 +343,7 @@ def normalize(t: Term, th: Theory) -> Term:
     if cached is not None:
         return cached
     th.check_term(t)
-    encoded = _encode(t)
-    try:
-        result = kernel.normalize(encoded, th._encoded, th.rewrite_ceiling)
-    except kernel.RewriteLimit:
-        raise NonTermination(
-            f"rewriting of {render_term(t)} exceeded {th.rewrite_ceiling} steps "
-            f"in theory {th.name}"
-        ) from None
-    nf = t if result == encoded else _decode(result)   # already normal: keep t
+    nf = kernel.normalize(t, th)
     th._nf_cache[t] = nf
     th._nf_cache[nf] = nf
     return nf

@@ -260,6 +260,21 @@ def test_pi_open_negatives():
               "[x != z] out(x, y). 0 | in(z, w). 0") == "DistinguishedVerdict"
 
 
+def test_pi_witness_holds_only_the_alive_closure():
+    # the checker also explores {} ~~ {} | tau. 0, which the solver kills;
+    # it must not reach the witness
+    p = parse_process("tau. 0 + tau. tau. 0")
+    v = open_bisim_pi_check(p, p, TH, CheckConfig(recipe_depth=1, max_depth=24,
+                                                  mode="late-pi"))
+    assert isinstance(v, Bisimilar)
+    assert [(pretty(a.body), pretty(b.body)) for a, b in v.witness.pairs] == [
+        ("tau. 0 + tau. tau. 0", "tau. 0 + tau. tau. 0"),
+        ("0", "0"),
+        ("tau. 0", "tau. 0"),
+    ]
+    assert validate_witness(v.witness, TH)
+
+
 def test_pi_rejects_crypto():
     with pytest.raises(NotPiFragment):
         open_bisim_pi_check(parse_process("out(a, hash(x)). 0"),

@@ -93,6 +93,24 @@ def test_file_error_exit_66():
     assert code == 66
 
 
+def test_malformed_validate_files_exit_66(tmp_path):
+    malformed = {
+        "header only": "witness v1\n",
+        "no root": "witness v1\nmode early-applied\npair 0 ~~ 0\n",
+        "pair without ~~": "witness v1\nmode early-applied\nroot 0 ~~ 0\npair 0 0\n",
+        "bad process": "witness v1\nmode early-applied\nroot 0 ~~ 0\npair 0 ~~ out(a,\n",
+        "bad recipe": "static x vs y( equal-on a at 0 ~~ 0\n",
+        "bad side": "capability sideways tau at 0 ~~ 0\n",
+    }
+    for what, text in malformed.items():
+        f = tmp_path / "bad.txt"
+        f.write_text(text)
+        code, out, err = run(["check-bisim", corpus_path("server_a.pi"),
+                              corpus_path("server_a.pi"), THY, "--validate", str(f)])
+        assert code == 66, (what, err[-500:])
+        assert out == "" and err.count("\n") == 1 and "expected" in err, (what, err)
+
+
 def test_emit_witness_revalidates(tmp_path):
     w = tmp_path / "witness.txt"
     code, _, _ = run(["check-bisim", corpus_path("open_guard_l.pi"),

@@ -70,6 +70,13 @@ def test_normalize_variable_is_normal():
     assert normalize(Var("x"), TH) == Var("x")
 
 
+def test_normalize_returns_a_normal_term_itself():
+    th = dy_asym()   # a fresh normal-form table: the rewriting loop runs
+    for text in ("x", "pair(m, pk(k))", "aenc(adec(c, k), pk(k2))"):
+        t = T(text)
+        assert normalize(t, th) is t
+
+
 def test_normalize_unblind_produces_signature():
     assert normalize(T("unblind(sign(blind(m, n), k), n)"), THB) == T("sign(m, k)")
 
