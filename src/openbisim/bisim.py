@@ -21,12 +21,12 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import frames as frames_mod
 from .frames import (
-    Distinguished as StaticDistinguished, Frame, _recipe_key, enumerate_recipes,
-    recipe_images,
+    Distinguished as StaticDistinguished, Frame, _image_from_args, _recipe_key,
+    enumerate_recipes,
 )
 from .lts import (
     History, InputSchema, NotPiFragment, ReplicationUnbounded, Transition,
@@ -41,8 +41,8 @@ from .syntax import (
 from .terms import (
     App, Substitution, Term, Theory, Var, _generated_renaming, _inverse,
     _renamed_term, _shape, apply_map,
-    free_vars as term_free_vars, normalize, render_term, solved_unifier,
-    subterms, syntactic_unify, unify_mod,
+    free_vars as term_free_vars, match_term, normalize, render_term,
+    solved_unifier, subterms, syntactic_unify, unify_mod,
 )
 
 __all__ = [
@@ -500,9 +500,11 @@ def _legal_unify(a: Term, b: Term, th: Theory) -> bool:
 
 def _legal_unify_raw(a: Term, b: Term) -> bool:
     """_legal_unify without its memo.  Decided on the unifier's triangular
-    solved form, without resolving it into a Substitution: a rigid variable
-    may only be bound to a term that resolves to a '?' variable (a
-    reorientable renaming into it)."""
+    solved form, without resolving it into a Substitution: every rigid
+    variable must resolve to a '?' variable.  This is weaker than a
+    reorientable renaming: two different rigid variables may both resolve
+    to one '?' variable, so aenc(pair(?z, pk(c)), pk(a)) unifies legally
+    with aenc(pair(?0, pk(a)), pk(?1)) by identifying a and c through ?1."""
     solved = solved_unifier([(a, b)])
     if solved is None:
         return False
@@ -516,29 +518,77 @@ def _legal_unify_raw(a: Term, b: Term) -> bool:
     return True
 
 
-def _recipe_images(frame: Frame, th: Theory, depth: int,
-                   publics: tuple[str, ...], fresh: str):
-    """The recipes over a frame's domain, `publics` and `fresh`, and their
-    images under the frame; the order is deterministic so two same-domain
-    frames align index by index.  The recipe list depends on the domain
-    only and is shared (the theory's ``recipes`` table); the images are
-    cached per frame (``recipe_images``).  Images are built bottom-up from
-    the images of each recipe's arguments (frames.recipe_images), which
-    in a convergent theory gives each recipe's normal form without
-    rewriting the instantiated recipe again."""
-    recipes_cache = th._aux.setdefault("recipes", {})
-    key = (frame.order, publics, fresh, depth)
-    recipes = recipes_cache.get(key)
-    if recipes is None:
-        recipes = recipes_cache[key] = tuple(enumerate_recipes(
-            frame, th, depth, publics=publics, fresh=(fresh,), dedup=False))
-    cache = th._aux.setdefault("recipe_images", {})
-    key = (frame.privates, frame.binding.bindings, frame.order, publics,
-           fresh, depth)
-    images = cache.get(key)
-    if images is None:
-        images = cache[key] = tuple(recipe_images(frame, recipes, th))
-    return recipes, images
+def _may_unify(a: Term, b: Term) -> bool:
+    """Whether a and b can still unify legally (_legal_unify_raw) as far as
+    one pair of arguments shows: a '?' variable meets anything, a variable
+    any variable (two rigid ones may meet through a '?' variable), a rigid
+    variable no application, and two applications need one head and arity
+    and arguments that may unify.  Never False when a pair of arguments of
+    a legally unifiable pair of applications is tested."""
+    if type(a) is Var:
+        return type(b) is Var or a.name.startswith("?")
+    if type(b) is Var:
+        return b.name.startswith("?")
+    return (a.fn == b.fn and len(a.args) == len(b.args)
+            and all(map(_may_unify, a.args, b.args)))
+
+
+def _frame_images(frame: Frame, th: Theory, key: tuple,
+                  recipes: Iterable[Term]) -> dict[Term, Term]:
+    """The theory's ``recipe_images`` entry of a frame under one recipe
+    domain `key` (publics, fresh variable and recipe depth): a map from
+    recipe to image, filled here with `recipes`, which come in enumeration
+    order.  Images are built bottom-up from the images of each recipe's
+    arguments (frames._image_from_args), which in a convergent theory gives
+    each recipe's normal form without rewriting the instantiated recipe
+    again."""
+    images = th._aux.setdefault("recipe_images", {}).setdefault(
+        (frame.privates, frame.binding.bindings, frame.order) + key, {})
+    for r in recipes:
+        if r not in images:
+            images[r] = _image_from_args(r, images, frame, th)
+    return images
+
+
+def _top_recipes(lower: tuple[Term, ...], images: dict[Term, Term],
+                 by_head: dict[tuple[str, int], list[Term]],
+                 th: Theory) -> set[Term]:
+    """The recipes f(r1..rn) over `lower` whose image under the frame of
+    `images` may interact with a target: those whose arguments' images may
+    unify one by one with a target of head f/n (their image is f applied
+    to those images unless a rule rewrites it at its root), and those at
+    whose root a rule's left side matches (whatever they rewrite to)."""
+    by_image: dict[Term, list[Term]] = {}
+    for r in lower:
+        by_image.setdefault(images[r], []).append(r)
+    out: set[Term] = set()
+    for group in by_head.values():
+        for g in group:
+            columns = [[r for img, rs in by_image.items() if _may_unify(img, arg)
+                        for r in rs] for arg in g.args]
+            out.update(App(g.fn, args) for args in itertools.product(*columns))
+
+    def fill(lhs: App, rule_vars: frozenset[str], bindings: dict[str, Term],
+             columns: list[list[Term]]) -> None:
+        # match lhs.args left to right against the images, as at the root
+        # of normalize_root, carrying the bindings
+        if len(columns) == len(lhs.args):
+            out.update(App(lhs.fn, args) for args in itertools.product(*columns))
+            return
+        pat = lhs.args[len(columns)]
+        if term_free_vars(pat) & rule_vars <= bindings.keys():
+            rs = by_image.get(apply_map(pat, bindings))
+            if rs:
+                fill(lhs, rule_vars, bindings, columns + [rs])
+            return
+        for img, rs in by_image.items():
+            m = match_term(pat, img, rule_vars)
+            if m is not None and all(bindings.get(x, v) == v for x, v in m.items()):
+                fill(lhs, rule_vars, {**bindings, **m}, columns + [rs])
+
+    for rule in th.rules:
+        fill(rule.lhs, rule.variables(), {}, [])
+    return out
 
 
 def _payload_candidates(
@@ -582,23 +632,14 @@ def _publics(a: _StateView, b: _StateView) -> tuple[str, ...]:
     return tuple(sorted((a.free | b.free) - a.frame.domain - b.frame.domain))
 
 
-def _payload_candidates_raw(
-    a: _StateView,
-    b: _StateView,
-    th: Theory,
-    cfg: CheckConfig,
-    gen_fresh_name: str,
-) -> list[Term]:
-    """Always kept: the fresh public variable (symbolic lazy input), the
-    frame variables, and free public atoms.  A compound recipe is kept only
-    when its image can interact with a reachable guard (directly, via a
-    solved guard pattern, or via a term demanded by a future output feeding
-    a rewrite rule)."""
-    publics = _publics(a, b)
-    frame_a = Frame(frozenset(a.privates), a.frame, a.frame_order)
-    frame_b = Frame(frozenset(b.privates), b.frame, b.frame_order)
-
-    # interaction targets
+def _interaction(
+    a: _StateView, b: _StateView, th: Theory,
+) -> tuple[dict[tuple[str, int], list[Term]], Callable[[Term], bool]]:
+    """The interaction targets of a node, grouped by head symbol and arity,
+    and a test whether an image can interact with one of them: whether it
+    legally unifies with a reachable guard's subterm, a solved guard
+    pattern, or a term demanded by a future output feeding a rewrite
+    rule."""
     guard_subs: list[Term] = []
     patterns: list[Term] = []
     for v in (a, b):
@@ -649,18 +690,59 @@ def _payload_candidates_raw(
             verdicts[img] = got
         return got
 
+    return by_head, interacts
+
+
+def _payload_candidates_raw(
+    a: _StateView,
+    b: _StateView,
+    th: Theory,
+    cfg: CheckConfig,
+    gen_fresh_name: str,
+) -> list[Term]:
+    """Always kept: the fresh public variable (symbolic lazy input), the
+    frame variables, and free public atoms.  A compound recipe is kept only
+    when its image can interact with a reachable guard (directly, via a
+    solved guard pattern, or via a term demanded by a future output feeding
+    a rewrite rule).  The recipes below the top constructor layer are
+    enumerated in full (the theory's ``recipes`` table); the top layer is
+    built from the targets and the rules' left sides (_top_recipes)."""
+    publics = _publics(a, b)
+    frame_a = Frame(frozenset(a.privates), a.frame, a.frame_order)
+    frame_b = Frame(frozenset(b.privates), b.frame, b.frame_order)
+
+    by_head, interacts = _interaction(a, b, th)
+
     # A recipe is kept when no kept recipe before it has its pair of images
     # and, unless it is a variable, one of its images can interact; the
-    # fresh variable comes first.
+    # fresh variable comes first.  Below the top constructor layer every
+    # recipe is tried, in enumeration order; of the top layer only those
+    # that may interact on some side (_top_recipes), in (size, rendering)
+    # order.  A top-layer recipe that interacts on neither side would not
+    # be kept, so leaving it out changes nothing.
     fresh = Var(gen_fresh_name)
     seen: set[tuple[Term, Term]] = {(frame_a.image(fresh, th),
                                      frame_b.image(fresh, th))}
-    recipes, images_a = _recipe_images(frame_a, th, cfg.recipe_depth, publics,
-                                       gen_fresh_name)
-    _, images_b = _recipe_images(frame_b, th, cfg.recipe_depth, publics,
-                                 gen_fresh_name)
+    depth = cfg.recipe_depth
+    recipes_cache = th._aux.setdefault("recipes", {})
+    lower_key = (frame_a.order, publics, gen_fresh_name, max(depth - 1, 0))
+    lower = recipes_cache.get(lower_key)
+    if lower is None:
+        lower = recipes_cache[lower_key] = tuple(enumerate_recipes(
+            frame_a, th, lower_key[3], publics=publics, fresh=(gen_fresh_name,),
+            dedup=False))
+    domain = (publics, gen_fresh_name, depth)
+    images_a = _frame_images(frame_a, th, domain, lower)
+    images_b = _frame_images(frame_b, th, domain, lower)
+    top: list[Term] = []
+    if depth > 0:
+        top = sorted(_top_recipes(lower, images_a, by_head, th)
+                     | _top_recipes(lower, images_b, by_head, th), key=_recipe_key)
+        _frame_images(frame_a, th, domain, top)
+        _frame_images(frame_b, th, domain, top)
     kept: list[Term] = []
-    for r, ia, ib in zip(recipes, images_a, images_b):
+    for r in itertools.chain(lower, top):
+        ia, ib = images_a[r], images_b[r]
         key = (ia, ib)
         if key in seen:
             continue

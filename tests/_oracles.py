@@ -1,6 +1,10 @@
-"""Independent brute-force bounded game for crypto-free, guard-free
-processes; written before the main solver and sharing none of its machinery
-beyond the AST."""
+"""Reference implementations that tests compare the checker against.
+
+An independent brute-force bounded game for crypto-free, guard-free
+processes, written before the main solver and sharing none of its machinery
+beyond the AST; and the exhaustive payload filter, which enumerates and
+images every recipe up to the recipe depth where the checker builds the top
+constructor layer from what can interact."""
 
 import itertools
 
@@ -174,3 +178,41 @@ def _small_corpus():
     return pairs
 
 
+def exhaustive_payload_candidates(a, b, th, cfg, gen_fresh_name, memo=None):
+    """bisim._payload_candidates_raw by brute force: every recipe up to the
+    recipe depth is enumerated and imaged under both frames, and kept by
+    the same rule (a variable, or an image that can interact, and a pair of
+    images no kept recipe before it has).  `memo`, when given, keeps the
+    recipe lists and the frames' image lists between calls."""
+    from openbisim.bisim import _interaction, _publics
+    from openbisim.frames import Frame, _recipe_key, enumerate_recipes, recipe_images
+    from openbisim.terms import Var
+
+    memo = {} if memo is None else memo
+    publics = _publics(a, b)
+    frame_a = Frame(frozenset(a.privates), a.frame, a.frame_order)
+    frame_b = Frame(frozenset(b.privates), b.frame, b.frame_order)
+    _, interacts = _interaction(a, b, th)
+    domain = (frame_a.order, publics, gen_fresh_name, cfg.recipe_depth)
+    recipes = memo.get(domain)
+    if recipes is None:
+        recipes = memo[domain] = list(enumerate_recipes(
+            frame_a, th, cfg.recipe_depth, publics=publics, fresh=(gen_fresh_name,),
+            dedup=False))
+    images = []
+    for frame in (frame_a, frame_b):
+        key = (frame.privates, frame.binding, domain)
+        if key not in memo:
+            memo[key] = recipe_images(frame, recipes, th)
+        images.append(memo[key])
+    fresh = Var(gen_fresh_name)
+    seen = {(frame_a.image(fresh, th), frame_b.image(fresh, th))}
+    kept = []
+    for r, ia, ib in zip(recipes, *images):
+        if (ia, ib) in seen:
+            continue
+        if isinstance(r, Var) or interacts(ia) or interacts(ib):
+            seen.add((ia, ib))
+            kept.append(r)
+    kept.sort(key=_recipe_key)
+    return [fresh] + kept

@@ -297,7 +297,7 @@ def test_quasi_and_pi_agree_on_curated_list():
 # ---------------------------------------------------------------------------
 # Independent oracle agreement (oracle lives in tests/_oracles.py)
 
-from _oracles import _oracle_verdict, _small_corpus
+from _oracles import _oracle_verdict, _small_corpus, exhaustive_payload_candidates
 
 
 def test_oracle_agreement_on_small_processes():
@@ -320,15 +320,22 @@ def test_depth_bound_returns_unknown():
 # ---------------------------------------------------------------------------
 # Memo tables: keys renamed canonically, results faithful to a fresh run
 
-from openbisim import corpus
+from dataclasses import replace
+
+from hypothesis import example, given, settings, strategies as st
+
+from openbisim import bisim, corpus
 from openbisim.bisim import (
     _EarlyGame, _StateView, _all_names, _generated_renaming,
-    _payload_candidates, _payload_candidates_raw, _publics, _recipe_images,
+    _payload_candidates, _payload_candidates_raw,
 )
 from openbisim.frames import Frame
 from openbisim.names import NameGen
 from openbisim.syntax import make_extended, parse, substitute
-from openbisim.terms import App, Substitution, Var, load_theory, render_term
+from openbisim.terms import (
+    App, NonTermination, RewriteRule, Substitution, Theory, Var, free_vars,
+    load_theory, normalize, parse_term, render_term,
+)
 
 
 def _normal(p, th):
@@ -376,9 +383,9 @@ def _shifted(ep, th):
                          tuple(ren.get(x, x) for x in ep.frame_order))
 
 
-@pytest.mark.parametrize(
-    "name", ["server-a-vs-b", "blind-without-equation", "pair-mismatch-worlds"])
-def test_payload_cache_is_faithful(name):
+def _explored(name):
+    """The entry's theory and configuration, and the state pairs of every
+    node of its game graph."""
     entry = next(e for e in corpus.ENTRIES if e.name == name)
     th = load_theory(corpus.path(entry.theory))
     cfg = CheckConfig(recipe_depth=entry.recipe_depth, max_depth=entry.max_depth)
@@ -388,7 +395,13 @@ def test_payload_cache_is_faithful(name):
     gen.reserve(_all_names(a) | _all_names(b))
     game = _EarlyGame(th, cfg, gen)
     game.node_for(a, b, 0)
-    states = [(n.a, n.b) for n in game.nodes.values()]
+    return th, cfg, [(n.a, n.b) for n in game.nodes.values()]
+
+
+@pytest.mark.parametrize(
+    "name", ["server-a-vs-b", "blind-without-equation", "pair-mismatch-worlds"])
+def test_payload_cache_is_faithful(name):
+    th, cfg, states = _explored(name)
     for pa, pb in states:
         _payload_candidates(pa, pb, th, cfg, "?z")
     entries = len(th._aux["payload_cache"])
@@ -402,15 +415,148 @@ def test_payload_cache_is_faithful(name):
     assert len(th._aux["payload_cache"]) == entries
 
 
+@pytest.mark.parametrize("name", [
+    "fixed-servers", "broken-servers", "lem-choice", "server-a-vs-c",
+    "blind-forgery", "pair-mismatch-worlds"])
+def test_payload_candidates_equal_the_exhaustive_filter(name, monkeypatch):
+    # the payload list of a node, built from the recipes below the top
+    # constructor layer and the top-layer recipes that may interact, equals
+    # the exhaustive filter's (every recipe enumerated and imaged) in
+    # content and order: for the renamed states the game's payload table
+    # asked for, and for the nodes and their copies with generated names
+    # shifted.  At recipe depth 1 that is every node of the game; at depth
+    # 2, where the exhaustive filter takes about a second per node, six
+    # nodes spread over it.
+    asked = []
+    raw = bisim._payload_candidates_raw
+    monkeypatch.setattr(bisim, "_payload_candidates_raw",
+                        lambda a, b, *rest: asked.append((a, b)) or raw(a, b, *rest))
+    th, cfg, states = _explored(name)
+    monkeypatch.undo()
+    memo = {}
+    kept_compound = False
+    for depth in sorted({1, cfg.recipe_depth}):
+        at_depth = replace(cfg, recipe_depth=depth)
+        picked = states if depth == 1 else states[::len(states) // 6 + 1]
+        shifted = [(_shifted(pa, th), _shifted(pb, th)) for pa, pb in picked]
+        assert any(s != t for s, t in zip(shifted, picked))
+        views = [(_StateView.of(pa), _StateView.of(pb)) for pa, pb in picked + shifted]
+        for va, vb in asked + views:
+            got = _payload_candidates_raw(va, vb, th, at_depth, "?z")
+            assert got == exhaustive_payload_candidates(va, vb, th, at_depth, "?z", memo)
+            kept_compound |= any(isinstance(r, App) and r.args for r in got)
+    assert kept_compound
+
+
+_PRIVATE = ("k", "m", "n")
+_BLIND = dy_blind()
+
+
+def _blind_terms(names, depth):
+    """Terms over `names` and every symbol of dy-blind, nested at most
+    `depth` deep."""
+    leaf = st.sampled_from(names).map(Var)
+    if depth == 0:
+        return leaf
+    sub = _blind_terms(names, depth - 1)
+    unary = st.sampled_from([fn for fn, n in _BLIND.symbols() if n == 1])
+    binary = st.sampled_from([fn for fn, n in _BLIND.symbols() if n == 2])
+    return st.one_of(leaf, st.builds(lambda f, a: App(f, (a,)), unary, sub),
+                     st.builds(lambda f, a, b: App(f, (a, b)), binary, sub, sub))
+
+
+def _view(privates, frame, guards, outputs):
+    """The _StateView of a state with these parts, its terms normalized as
+    make_extended leaves them."""
+    def nf(t):
+        return normalize(t, _BLIND)
+
+    frame = Substitution(tuple((x, nf(t)) for x, t in frame))
+    guards = tuple((kind, nf(s), nf(t)) for kind, s, t in guards)
+    outputs = tuple(nf(t) for t in outputs)
+    terms_ = [t for _, t in frame.bindings] + [u for _, s, t in guards for u in (s, t)]
+    names = frozenset().union(*map(free_vars, terms_ + list(outputs)))
+    free = names - frame.domain - set(privates)
+    return _StateView(tuple(privates), frame, tuple(x for x, _ in frame.bindings),
+                      guards, outputs, free, names | frame.domain | set(privates))
+
+
+@st.composite
+def _state_pairs(draw, frame_size, publics):
+    """Two states with one frame domain of up to `frame_size` entries of
+    depth <= 2 over private names and `publics`, and up to two guards and
+    two outputs each."""
+    names = _PRIVATE + publics
+    terms_ = _blind_terms(names, 2)
+    domain = [f"w{i}" for i in range(draw(st.integers(0, frame_size)))]
+
+    def state():
+        privates = _PRIVATE if not publics else sorted(draw(st.sets(st.sampled_from(names))))
+        guards = draw(st.lists(st.tuples(st.sampled_from(("=", "!=")), terms_, terms_),
+                               max_size=2))
+        return _view(privates, [(x, draw(terms_)) for x in domain], guards,
+                     draw(st.lists(terms_, max_size=2)))
+
+    return state(), state()
+
+
+def _rigid_meet(w1):
+    """A state whose top-layer recipe aenc(.., w2) can only interact by
+    identifying the rigid names a and c through the ?0 of the guard's
+    narrowing target aenc(pair(?1, pk(a)), pk(?0))."""
+    return _view(("a", "b", "c", "x", "y"),
+                 [("w1", _BLIND.parse(w1)), ("w2", _BLIND.parse("pk(a)"))],
+                 [("=", _BLIND.parse("snd(adec(x, y))"), _BLIND.parse("pk(a)"))], [])
+
+
+_RIGID_MEET_1 = _rigid_meet("pair(b, pk(c))")   # aenc(w1, w2)
+_RIGID_MEET_2 = _rigid_meet("pk(c)")            # aenc(pair(?z, w1), w2)
+
+
+@given(_state_pairs(3, ("a", "b")))
+@example((_RIGID_MEET_1, _RIGID_MEET_1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_payload_candidates_on_random_states_depth_1(views):
+    cfg = CheckConfig(recipe_depth=1)
+    assert _payload_candidates_raw(*views, _BLIND, cfg, "?z") == \
+        exhaustive_payload_candidates(*views, _BLIND, cfg, "?z")
+
+
+# At depth 2 the exhaustive filter images 28,911 recipes per frame over
+# three atoms, and 81,316 over four: the states have no public names
+# and at most two frame entries.
+@given(_state_pairs(2, ()))
+@example((_RIGID_MEET_2, _RIGID_MEET_2))
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_payload_candidates_on_random_states_depth_2(views):
+    cfg = CheckConfig(recipe_depth=2)
+    assert _payload_candidates_raw(*views, _BLIND, cfg, "?z") == \
+        exhaustive_payload_candidates(*views, _BLIND, cfg, "?z")
+
+
+def test_payload_images_keep_the_rewrite_ceiling():
+    # f(w) is a top-layer candidate because the rule rewrites it at its
+    # root; its image is computed under the theory's step ceiling
+    looping = Theory(
+        name="loop", signature={"f": 1, "g": 1},
+        rules=(RewriteRule(parse_term("f(X)"), parse_term("g(f(X))")),),  # type: ignore[arg-type]
+        rewrite_ceiling=50,
+    )
+    view = _view((), [("w", Var("a"))], [], [])
+    with pytest.raises(NonTermination):
+        _payload_candidates_raw(view, view, looping, CheckConfig(recipe_depth=1), "?z")
+
+
 @pytest.mark.parametrize("name, sweep", [
     ("fixed-servers", False), ("broken-servers", False),
     ("aenc-under-refinement", True), ("blind-forgery", False)])
 def test_recipe_images_are_faithful(name, sweep):
-    # every image list the check computed bottom-up equals frame.image of
-    # each recipe, normalized from scratch under a fresh copy of the theory.
+    # every image the check computed bottom-up equals frame.image of its
+    # recipe, normalized from scratch under a fresh copy of the theory.
     # aenc-under-refinement is decided by static equivalence before any
-    # input, so its check computes no images: there the images of both
-    # frames of every node of its game are computed here.
+    # input, so its check computes no images: there the payload candidates
+    # of every node of its game are computed here, which images both
+    # frames.
     entry = next(e for e in corpus.ENTRIES if e.name == name)
     th = load_theory(corpus.path(entry.theory))
     cfg = CheckConfig(recipe_depth=entry.recipe_depth, max_depth=entry.max_depth)
@@ -418,29 +564,19 @@ def test_recipe_images_are_faithful(name, sweep):
     b = parse(corpus.read(entry.right))
     quasi_open_check(a, b, th, cfg)
     if sweep:
-        a, b = _normal(a, th), _normal(b, th)
-        gen = NameGen()
-        gen.reserve(_all_names(a) | _all_names(b))
-        game = _EarlyGame(th, cfg, gen)
-        game.node_for(a, b, 0)
-        for node in game.nodes.values():
-            va, vb = _StateView.of(node.a), _StateView.of(node.b)
-            for v in (va, vb):
-                frame = Frame(frozenset(v.privates), v.frame, v.frame_order)
-                _recipe_images(frame, th, cfg.recipe_depth, _publics(va, vb), "?z")
+        _, _, states = _explored(name)
+        for pa, pb in states:
+            _payload_candidates_raw(_StateView.of(pa), _StateView.of(pb), th, cfg, "?z")
     ref = load_theory(corpus.path(entry.theory))
     misses = th._aux["recipe_images"]
     assert misses
     root_rewrites = 0
-    for (privates, bindings, order, publics, fresh, depth), images in misses.items():
+    for (privates, bindings, order, *_), images in misses.items():
         frame = Frame(privates, Substitution(bindings), order)
-        recipes = th._aux["recipes"][(order, publics, fresh, depth)]
-        want = tuple(frame.image(r, ref) for r in recipes)
-        assert images == want
-        by_recipe = dict(zip(recipes, want))
-        root_rewrites += sum(
-            1 for r, img in by_recipe.items() if isinstance(r, App) and r.args
-            and img != App(r.fn, tuple(by_recipe[a] for a in r.args)))
+        for r, img in images.items():
+            assert img == frame.image(r, ref)
+            if isinstance(r, App) and r.args:
+                root_rewrites += img != App(r.fn, tuple(images[a] for a in r.args))
     assert root_rewrites
 
 
@@ -542,6 +678,8 @@ HAND_CASES = [
     ("pair(?z, x)", "pair(hash(y), ?0)", True),  # fresh-payload placeholder
     ("aenc(x, pk(?z))", "aenc(?0, pk(k))", True),
     ("hash(x)", "hash(pair(?0, ?1))", False),   # a rigid name bound to a term
+    # two rigid names identified through one ? variable: a := ?1, c := ?1
+    ("aenc(pair(?z, pk(c)), pk(a))", "aenc(pair(?0, pk(a)), pk(?1))", True),
 ]
 
 
@@ -557,6 +695,20 @@ def test_legal_unify_matches_mgu_definition(recorded):
         assert bisim._legal_unify_raw(a, b) == _legal_by_mgu(a, b), (a, b)
 
 
+def test_may_unify_over_approximates_legality(recorded):
+    # the arguments of a legally unifiable pair of applications may unify
+    # one by one: the top recipe layer of the payloads relies on it
+    pairs = [(_q(image), _q(target)) for image, target, _ in HAND_CASES]
+    pairs += [p for _, recorded_pairs in recorded.values() for p in recorded_pairs]
+    legal = [(a, b) for a, b in pairs if isinstance(a, App) and isinstance(b, App)
+             and bisim._legal_unify_raw(a, b)]
+    assert any(len(a.args) > 1 for a, _ in legal)
+    for a, b in legal:
+        assert all(map(bisim._may_unify, a.args, b.args)), (a, b)
+    assert not bisim._may_unify(Var("x"), _q("pk(?0)"))
+    assert bisim._may_unify(Var("x"), Var("y"))
+
+
 # ---------------------------------------------------------------------------
 # Witness validation shared out over forked workers: the one-process answer,
 # the one-process exception, and no worker left behind
@@ -565,7 +717,6 @@ import os
 import threading
 
 from openbisim.syntax import canonical_key
-from openbisim.terms import NonTermination
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
