@@ -1,12 +1,18 @@
 """Quasi-open bisimulation game solver, the history-indexed open
 bisimulation checker for the pi fragment, and distinguishing strategies.
 
-The game works on pairs of extended processes.  At every node the attacker
-may (i) exhibit static inequivalence of the two frames, (ii) refine the
-world by a representative refinement (guard unifiers, fresh-private-name
-extensions, frame-narrowing substitutions) applied to both sides, or (iii)
-play a transition that the other side must match.  The defender wins the
-finite game when a closed, validated relation is found.
+One engine (_Game: explorer, solver, strategy replay, witness closure)
+plays over two arenas.  The early applied-pi game works on pairs of extended
+processes; the late pi game on pairs of pi processes under a history, whose
+world moves identify two names the history allows to be equal or extrude a
+fresh name.
+
+At every node of the early game the attacker may (i) exhibit static
+inequivalence of the two frames, (ii) refine the world by a representative
+refinement (guard unifiers, fresh-private-name extensions, frame-narrowing
+substitutions) applied to both sides, or (iii) play a transition that the
+other side must match.  The defender wins the finite game when a closed,
+validated relation is found.
 
 Distinguishing verdicts are extracted inductively from the removal order of
 a greatest-fixpoint computation over the explored graph, so strategies are
@@ -21,7 +27,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import frames as frames_mod
 from .frames import (
@@ -34,13 +40,13 @@ from .lts import (
 )
 from .names import NameGen
 from .syntax import (
-    ExtendedProcess, Process, bound_names, canonical_key, canonical_render,
-    free_vars, guard_pairs, has_replication, make_extended, output_terms,
-    promote, substitute, unfold_replication,
+    ExtendedProcess, New, Process, bound_names, canonical_key, canonical_render,
+    free_vars, guard_pairs, has_replication, is_pi_fragment, make_extended,
+    output_terms, promote, substitute, unfold_replication,
 )
 from .terms import (
     App, Substitution, Term, Theory, Var, _generated_renaming, _inverse,
-    _renamed_term, _shape, apply_map,
+    _renamed_term, _shape, apply_map, eq_mod,
     free_vars as term_free_vars, match_term, normalize, render_term,
     solved_unifier, subterms, syntactic_unify, unify_mod,
 )
@@ -49,7 +55,7 @@ __all__ = [
     "CheckConfig", "Verdict", "Bisimilar", "DistinguishedVerdict", "Unknown",
     "WorldMove", "Strategy", "StaticLeaf", "CapabilityLeaf", "RefineNode",
     "MoveNode", "RelationWitness", "quasi_open_check", "open_bisim_pi_check",
-    "validate_witness", "representative_worlds", "GameNode", "World",
+    "validate_witness", "representative_worlds", "pi_worlds",
 ]
 
 
@@ -63,31 +69,11 @@ class CheckConfig:
     recipe_depth: int = 2
     unfold: int = 0
     mode: str = "early-applied"        # or "late-pi"
-    emit: str = "none"
     max_nodes: int = 200_000
 
     def __post_init__(self):
         if min(self.max_depth, self.recipe_depth, self.unfold) < 0:
             raise ValueError("bounds must be non-negative")
-
-
-@dataclass(frozen=True)
-class World:
-    """Accumulated refinement from the root: environment of extension names,
-    a substitution, and the extension frame."""
-
-    env: frozenset[str] = frozenset()
-    sigma: Substitution = Substitution.identity()
-    ext_names: tuple[str, ...] = ()
-    ext_frame: Substitution = Substitution.identity()
-
-
-@dataclass(frozen=True)
-class GameNode:
-    a: ExtendedProcess
-    b: ExtendedProcess
-    world: World
-    depth: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,10 +152,6 @@ class RelationWitness:
     root: tuple[ExtendedProcess, ExtendedProcess]
     mode: str = "early-applied"
     config: CheckConfig = CheckConfig()
-    pi_pairs: tuple = ()   # (History, Process, Process) rows in late-pi mode
-
-    def keys(self) -> frozenset[str]:
-        return frozenset(canonical_key(a, b) for a, b in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -754,7 +736,9 @@ def _payload_candidates_raw(
 
 
 # ---------------------------------------------------------------------------
-# Game graph exploration (early applied-pi mode)
+# The game engine: one explorer, solver, strategy replay and closure walk for
+# two arenas, the early applied-pi game (frames) and the late pi game
+# (histories)
 
 
 @dataclass(slots=True)
@@ -767,6 +751,178 @@ class _SideMove:
 
     def reply_keys(self):
         return [k for k, _ in self.replies]
+
+
+class _Game:
+    """The mode-independent part of the game.  Nodes are created on first
+    sight under the depth and node bounds (`_child`), the greatest fixpoint
+    is computed by stratified removal (`solve`), and a surviving root is
+    justified by its alive closure (`_closure`); `_build_strategy` replays a
+    killed node.  An arena supplies its node type (`_node_type`, built from
+    the state, the key and the depth), its key (`_key`), `_expand` (the
+    static check, world edges and side moves of a node) and
+    `_LAST_DEAD_MOVE`.
+
+    With a `relation` (the canonical keys of a witness's pairs, for an arena
+    that supplies `_pair_key`, a node's canonical pair key) a child whose
+    pair is outside it is not explored and counts as killed: the game is
+    then the witness's own, and the witness holds when the root survives it
+    and no node is a frontier."""
+
+    # Among several complete moves whose replies are all killed, the first
+    # (False) or the last (True) certifies the kill; a move without replies
+    # always wins at once.  The choice fixes the strategy: the pi arena's
+    # om-outin strategy and formulas come from the last.
+    _LAST_DEAD_MOVE = False
+
+    def __init__(self, th: Theory, cfg: CheckConfig, gen: NameGen,
+                 relation: Optional[frozenset[str]] = None):
+        self.th = th
+        self.cfg = cfg
+        self.gen = gen
+        self.nodes: dict[str, object] = {}
+        self.relation = relation
+        self.outside: set[str] = set()
+
+    def node_for(self, *state_depth):
+        """The root node of a state (every argument but the last, the
+        depth), created and expanded if new, whatever the bounds."""
+        return self.nodes[self._child(*state_depth, root=True)]
+
+    def _child(self, *state_depth, root: bool = False) -> str:
+        """The key of a state's node (the arguments as for node_for),
+        created and expanded if new.  A node other than a root at the depth
+        bound or past the node bound is a frontier: never expanded, never
+        killed."""
+        state, depth = state_depth[:-1], state_depth[-1]
+        key = self._key(*state)
+        node = self.nodes.get(key)
+        if node is None:
+            node = self._node_type(*state, key, depth)
+            self.nodes[key] = node
+            if self.relation is not None and self._pair_key(node) not in self.relation:
+                self.outside.add(key)
+            elif not root and (depth >= self.cfg.max_depth
+                               or len(self.nodes) > self.cfg.max_nodes):
+                node.frontier = True
+            else:
+                self._expand(node)
+        return key
+
+    def solve(self) -> dict[str, tuple[int, object]]:
+        """Greatest fixpoint by iterated removal: stratum 0 holds the nodes
+        outside the relation and the statically distinguished ones, each
+        later stratum the nodes with a killing move into earlier ones.
+        Returns the killed nodes' (stratum, certificate) by key."""
+        killed: dict[str, tuple[int, object]] = dict.fromkeys(self.outside, (0, ("outside",)))
+        for key, node in self.nodes.items():
+            if isinstance(node.static, StaticDistinguished):
+                killed[key] = (0, ("static", node.static))
+        stratum = 0
+        changed = True
+        while changed:
+            changed = False
+            stratum += 1
+            new_kills = {}
+            for key, node in self.nodes.items():
+                if key in killed or node.frontier:
+                    continue
+                cert = self._kill_reason(node, killed)
+                if cert is not None:
+                    new_kills[key] = (stratum, cert)
+            if new_kills:
+                killed.update(new_kills)
+                changed = True
+        return killed
+
+    def _kill_reason(self, node, killed) -> Optional[object]:
+        for mv, key, _ in node.world_edges:
+            if key in killed:
+                return ("refine", mv, key)
+        best = None
+        for m in node.side_moves:
+            if not m.reply_complete:
+                continue
+            if all(k in killed for k in m.reply_keys()):
+                cand = ("move", m)
+                if not m.replies:
+                    return cand  # capability with no reply: immediate
+                if best is None or self._LAST_DEAD_MOVE:
+                    best = cand
+        return best
+
+    def _closure(self, root_key: str, killed) -> tuple[set[str], Optional[str]]:
+        """The alive nodes the root's survival rests on (the root and, from
+        each that is not a frontier, every alive child), and the first taint
+        met on the way: a node's own, a frontier, or a move whose replies
+        are all killed."""
+        kept: set[str] = set()
+        todo = [root_key]
+        taint: Optional[str] = None
+        while todo:
+            key = todo.pop()
+            if key in kept:
+                continue
+            kept.add(key)
+            node = self.nodes[key]
+            taint = taint or node.taint
+            if node.frontier:
+                taint = taint or "depth bound reached"
+                continue
+            for _, k, _pair in node.world_edges:
+                if k not in killed:
+                    todo.append(k)
+            for m in node.side_moves:
+                live = [k for k in m.reply_keys() if k not in killed]
+                if not live and m.replies:
+                    taint = taint or "reply set exhausted under taint"
+                todo.extend(live)
+        return kept, taint
+
+
+def _build_strategy(game: _Game, killed, *state) -> Strategy:
+    """Rebuild the distinguishing strategy of a killed state by replaying
+    from concrete states so generated names stay coherent along the path
+    (memoized nodes may have been stored under a different session
+    naming)."""
+    key = game._key(*state)
+    stratum, cert = killed[key]
+    node = game._node_type(*state, key, 0)
+    game.nodes[key] = node
+    game._expand(node, keep_pairs=True)
+    if cert[0] == "static":
+        st = node.static
+        assert isinstance(st, StaticDistinguished)
+        return StaticLeaf(st.left_recipe, st.right_recipe, st.equal_on, node=state)
+    if cert[0] == "refine":
+        _, mv, child_key = cert
+        for mv2, k2, pair in node.world_edges:
+            if k2 == child_key:
+                return RefineNode(mv2, _build_strategy(game, killed, *pair))
+        raise AssertionError("replayed node lost its refine edge")
+    _, m = cert
+    want = (m.side, m.label_data[0], frozenset(m.reply_keys()))
+    for m2 in node.side_moves:
+        if (m2.side, m2.label_data[0], frozenset(m2.reply_keys())) != want:
+            continue
+        if not all(k in killed for k in m2.reply_keys()):
+            continue
+        if not m2.replies:
+            return CapabilityLeaf(m2.side, m2.label, m2.label_data, node=state)
+        children = tuple(
+            _build_strategy(game, killed, *pair) for _, pair in m2.replies
+        )
+        return MoveNode(m2.side, m2.label, m2.label_data, children)
+    raise AssertionError("replayed node lost its killing move")
+
+
+def _build_pi_strategy(game: "_PiGame", killed, h, p, q) -> Strategy:
+    """_build_strategy at a late pi state."""
+    return _build_strategy(game, killed, h, p, q)
+
+
+# ---------------------------------------------------------------------------
+# The early applied-pi arena
 
 
 @dataclass(slots=True)
@@ -794,38 +950,16 @@ def _rename_frame_var(ep: ExtendedProcess, old: str, new: str) -> ExtendedProces
     return ExtendedProcess(ep.privates, frame, body, order)
 
 
-class _EarlyGame:
+class _EarlyGame(_Game):
+    _node_type = _Node
+
     def __init__(self, th: Theory, cfg: CheckConfig, gen: NameGen):
-        self.th = th
-        self.cfg = cfg
-        self.gen = gen
-        self.nodes: dict[str, _Node] = {}
+        super().__init__(th, cfg, gen)
         self.truncation = False
         self._trans_cache: dict[ExtendedProcess, object] = {}
 
-    # -- exploration --------------------------------------------------------
-    def node_for(self, a: ExtendedProcess, b: ExtendedProcess, depth: int) -> _Node:
-        key = canonical_key(a, b)
-        node = self.nodes.get(key)
-        if node is None:
-            node = _Node(a, b, key, depth)
-            self.nodes[key] = node
-            self._expand(node)
-        return node
-
-    def _child(self, a, b, depth: int) -> str:
-        key = canonical_key(a, b)
-        node = self.nodes.get(key)
-        if node is None:
-            node = _Node(a, b, key, depth)
-            self.nodes[key] = node
-            if depth >= self.cfg.max_depth or len(self.nodes) > self.cfg.max_nodes:
-                node.frontier = True
-                node.taint = "depth bound reached"
-                node.static = frames_mod.Equivalent()
-            else:
-                self._expand(node)
-        return key
+    def _key(self, a: ExtendedProcess, b: ExtendedProcess) -> str:
+        return canonical_key(a, b)
 
     def _expand(self, node: _Node, keep_pairs: bool = False) -> None:
         """Static check, world edges and side moves of a node.  Edges and
@@ -944,93 +1078,12 @@ class _EarlyGame:
             self._trans_cache[ep] = ts
         return ts
 
-    def _chan_match(self, recipe: Term, their_ep: ExtendedProcess, r: Transition) -> bool:
-        from .terms import eq_mod
+    def _chan_match(self, recipe: Term, their_ep: ExtendedProcess,
+                    r: Transition | InputSchema) -> bool:
         img = normalize(their_ep.frame(recipe), self.th)
         return eq_mod(img, r.raw_channel, self.th)
 
-    def _schema_match(self, recipe: Term, their_ep: ExtendedProcess, s: InputSchema) -> bool:
-        from .terms import eq_mod
-        img = normalize(their_ep.frame(recipe), self.th)
-        return eq_mod(img, s.raw_channel, self.th)
-
-    # -- fixpoint -----------------------------------------------------------
-    def solve(self, root_key: str) -> tuple[dict[str, tuple[int, object]], set[str]]:
-        """Greatest fixpoint by iterated removal.  Returns (killed, alive)."""
-        killed: dict[str, tuple[int, object]] = {}
-        for key, node in self.nodes.items():
-            if isinstance(node.static, StaticDistinguished):
-                killed[key] = (0, ("static", node.static))
-        stratum = 0
-        changed = True
-        while changed:
-            changed = False
-            stratum += 1
-            new_kills = {}
-            for key, node in self.nodes.items():
-                if key in killed or key in new_kills or node.frontier:
-                    continue
-                cert = self._kill_reason(node, killed)
-                if cert is not None:
-                    new_kills[key] = (stratum, cert)
-            if new_kills:
-                killed.update(new_kills)
-                changed = True
-        alive = set(self.nodes) - set(killed)
-        return killed, alive
-
-    def _kill_reason(self, node: _Node, killed) -> Optional[object]:
-        for mv, key, _ in node.world_edges:
-            if key in killed:
-                return ("refine", mv, key)
-        best = None
-        for m in node.side_moves:
-            if not m.reply_complete:
-                continue
-            dead = [k for k in m.reply_keys() if k in killed]
-            if len(dead) == len(m.replies):
-                cand = ("move", m)
-                if not m.replies:
-                    return cand  # capability with no reply: immediate
-                if best is None:
-                    best = cand
-        return best
-
-
-def _build_strategy(game: _EarlyGame, killed, a, b) -> Strategy:
-    """Rebuild the distinguishing strategy by replaying from concrete states
-    so generated names stay coherent along the path (memoized nodes may have
-    been stored under a different session naming)."""
-    key = canonical_key(a, b)
-    stratum, cert = killed[key]
-    node = _Node(a, b, key, 0)
-    game.nodes[key] = node
-    game._expand(node, keep_pairs=True)
-    if cert[0] == "static":
-        assert isinstance(node.static, StaticDistinguished)
-        st = node.static
-        return StaticLeaf(st.left_recipe, st.right_recipe, st.equal_on,
-                          node=(a, b))
-    if cert[0] == "refine":
-        _, mv, child_key = cert
-        for mv2, k2, pair in node.world_edges:
-            if k2 == child_key:
-                return RefineNode(mv2, _build_strategy(game, killed, *pair))
-        raise AssertionError("replayed node lost its refine edge")
-    _, m = cert
-    want = (m.side, m.label_data[0], frozenset(m.reply_keys()))
-    for m2 in node.side_moves:
-        if (m2.side, m2.label_data[0], frozenset(m2.reply_keys())) != want:
-            continue
-        if not all(k in killed for k in m2.reply_keys()):
-            continue
-        if not m2.replies:
-            return CapabilityLeaf(m2.side, m2.label, m2.label_data, node=(a, b))
-        children = tuple(
-            _build_strategy(game, killed, *pair) for _, pair in m2.replies
-        )
-        return MoveNode(m2.side, m2.label, m2.label_data, children)
-    raise AssertionError("replayed node lost its killing move")
+    _schema_match = _chan_match
 
 
 def quasi_open_check(
@@ -1059,35 +1112,12 @@ def quasi_open_check(
     gen.reserve(_all_names(a) | _all_names(b))
     game = _EarlyGame(th, cfg, gen)
     root = game.node_for(a, b, 0)
-    killed, alive = game.solve(root.key)
+    killed = game.solve()
 
     if root.key in killed:
         return DistinguishedVerdict(_build_strategy(game, killed, a, b))
 
-    # collect the closure actually needed to justify the root
-    witness_keys: set[str] = set()
-    frontier = [root.key]
-    tainted: Optional[str] = None
-    while frontier:
-        key = frontier.pop()
-        if key in witness_keys:
-            continue
-        witness_keys.add(key)
-        node = game.nodes[key]
-        if node.taint:
-            tainted = tainted or f"{node.taint}"
-        if node.frontier:
-            tainted = tainted or "depth bound reached"
-            continue
-        for _, k, _pair in node.world_edges:
-            if k in alive:
-                frontier.append(k)
-        for m in node.side_moves:
-            live = [k for k in m.reply_keys() if k in alive]
-            if not live and m.replies:
-                tainted = tainted or "reply set exhausted under taint"
-            frontier.extend(live)
-
+    witness_keys, tainted = game._closure(root.key, killed)
     if tainted:
         return Unknown(tainted)
     pairs = tuple((game.nodes[k].a, game.nodes[k].b) for k in sorted(witness_keys))
@@ -1098,17 +1128,31 @@ def validate_witness(
     witness: RelationWitness, th: Theory, cfg: Optional[CheckConfig] = None,
     _processes: Optional[int] = None,
 ) -> bool:
-    """Re-verify a Bisimilar verdict: every pair is statically equivalent and
-    every representative world move and transition stays inside the witness.
+    """Re-verify a Bisimilar verdict.  Early applied-pi: every pair is
+    statically equivalent and every representative world move and
+    transition stays inside the witness.  Late pi: the root survives the
+    game explored from it within the witness's pairs (see _Game), and no
+    node of that game is a frontier.
 
-    Each pair is checked on its own against the witness's keys, so the pairs
-    are shared out over one process per usable CPU, forked workers beside
-    this one (_forked_all); the result, or the exception, is the one-process
-    one.  `_processes` forces the number of processes, whatever the CPUs and
-    the witness size (for tests)."""
+    Each early applied-pi pair is checked on its own against the witness's
+    keys, so the pairs are shared out over one process per usable CPU,
+    forked workers beside this one (_forked_all); the result, or the
+    exception, is the one-process one.  `_processes` forces the number of
+    processes, whatever the CPUs and the witness size (for tests)."""
     cfg = cfg or witness.config
     if witness.mode == "late-pi":
-        return _validate_pi_witness(witness, th, cfg)
+        # the pairs carry no histories: play the game from the root again,
+        # within the pairs
+        if any(ep.frame.bindings for ep in witness.root):
+            return False
+        p, q = (_unpromote(ep) for ep in witness.root)
+        if not all(is_pi_fragment(x) and not has_replication(x) for x in (p, q)):
+            return False
+        gen, h = _pi_root(p, q)
+        game = _PiGame(th, cfg, gen, frozenset(canonical_key(a, b) for a, b in witness.pairs))
+        root = game.node_for(h, p, q, 0)
+        return (root.key not in game.solve()
+                and not any(n.frontier for n in game.nodes.values()))
     gen = NameGen()
     for a, b in witness.pairs:
         gen.reserve(_all_names(a) | _all_names(b))
@@ -1245,56 +1289,69 @@ def _read_to_end(fd: int) -> bytes:
     return b"".join(out)
 
 
-def _validate_pi_witness(witness: RelationWitness, th: Theory,
-                         cfg: CheckConfig) -> bool:
-    if not witness.pi_pairs:
-        return False
-    gen = NameGen()
-    from .syntax import New
-    for h, p, q in witness.pi_pairs:
-        gen.reserve(free_vars(p) | free_vars(q) | bound_names(p) | bound_names(q)
-                    | h.names())
-    keys = frozenset(_pi_key(h, p, q) for h, p, q in witness.pi_pairs)
-
-    def unpromote(ep: ExtendedProcess) -> Process:
-        body = ep.body
-        for x in reversed(ep.privates):
-            body = New(x, body)
-        return body
-
-    rp, rq = unpromote(witness.root[0]), unpromote(witness.root[1])
-    rh = History.inputs_for(*sorted(free_vars(rp) | free_vars(rq)))
-    if _pi_key(rh, rp, rq) not in keys:
-        return False
-    game = _PiGame(th, cfg, gen)
-    for h, p, q in witness.pi_pairs:
-        node = _PiNode(h, p, q, _pi_key(h, p, q), cfg.max_depth - 1)
-        game.nodes[node.key] = node
-        game._expand(node)
-        for _, k, _minted in node.world_edges:
-            if k not in keys:
-                return False
-        for m in node.side_moves:
-            if not any(k in keys for k in m.reply_keys()):
-                return False
-        game.nodes = {node.key: node}
-    return True
+def _unpromote(ep: ExtendedProcess) -> Process:
+    """The process that promote takes to `ep`, whose frame is empty."""
+    body = ep.body
+    for x in reversed(ep.privates):
+        body = New(x, body)
+    return body
 
 
 # ---------------------------------------------------------------------------
-# Pi-fragment open bisimulation (late, history-indexed)
+# The late pi arena (open bisimulation, history-indexed)
 
 
-@dataclass
+@dataclass(slots=True)
 class _PiNode:
     h: History
     p: Process
     q: Process
     key: str
     depth: int
-    world_edges: list = field(default_factory=list)
+    world_edges: list = field(default_factory=list)   # (WorldMove, key, minted)
     side_moves: list = field(default_factory=list)
     frontier: bool = False
+    static = None       # the pi fragment has no frames to tell apart,
+    taint = None        # and its world moves and transitions are complete
+
+
+def pi_worlds(
+    h: History,
+    procs: tuple[Process, ...],
+    gen: NameGen,
+    extra_eqs: Iterable[tuple[Term, Term]] = (),
+    extra_neq_vars: Iterable[str] = (),
+) -> Iterator[tuple[WorldMove, History]]:
+    """The representative world moves of the late pi fragment under history
+    h, each with the history it leads to: identifying the two names of a
+    guard (or of an extra equation) where h allows it, then, in name order,
+    extruding a fresh name for each free name of a mismatch guard (or each
+    extra name) that is neither bound nor extruded yet: P{v -> x} related
+    at h.x^o.  A fresh name is minted when its move is reached, so a caller
+    that explores each move before taking the next one mints in exploration
+    order."""
+    guards = [g for pr in procs for g in guard_pairs(pr)]
+    substs: dict[str, Substitution] = {}
+    for s, t in [(s, t) for _, s, t in guards] + list(extra_eqs):
+        if not (isinstance(s, Var) and isinstance(t, Var)) or s == t:
+            continue
+        for cand in (Substitution.of({s.name: t}), Substitution.of({t.name: s})):
+            if respects(cand, h):
+                substs.setdefault(str(cand), cand)
+    neq_vars: dict[str, Optional[tuple[Term, Term]]] = {}
+    for kind, s, t in guards:
+        if kind == "!=":
+            for v in term_free_vars(s) | term_free_vars(t):
+                neq_vars.setdefault(v, (s, t))
+    for v in extra_neq_vars:
+        neq_vars.setdefault(v, None)
+    bound = frozenset().union(*map(bound_names, procs))
+    for sub in substs.values():
+        yield WorldMove("subst", sub), History(tuple((k, sub(t)) for k, t in h.events))
+    for v in sorted(set(neq_vars) - bound - set(h.outputs())):
+        x = gen.fresh("f")
+        yield (WorldMove("fresh", Substitution.of({v: Var(x)}), guard=neq_vars[v], private=x),
+               h.output(x))
 
 
 def _pi_key(h: History, p: Process, q: Process) -> str:
@@ -1309,71 +1366,27 @@ def _pi_key(h: History, p: Process, q: Process) -> str:
         canonical_render(q, dict(mapping))
 
 
-class _PiGame:
-    def __init__(self, th: Theory, cfg: CheckConfig, gen: NameGen):
-        self.th = th
-        self.cfg = cfg
-        self.gen = gen
-        self.nodes: dict[str, _PiNode] = {}
+class _PiGame(_Game):
+    # the last all-dead move certifies a kill: om-outin's strategy and
+    # formulas come from it (see _Game._LAST_DEAD_MOVE)
+    _LAST_DEAD_MOVE = True
+    _node_type = _PiNode
 
-    def child(self, h: History, p: Process, q: Process, depth: int) -> str:
-        key = _pi_key(h, p, q)
-        node = self.nodes.get(key)
-        if node is None:
-            node = _PiNode(h, p, q, key, depth)
-            self.nodes[key] = node
-            if depth >= self.cfg.max_depth:
-                node.frontier = True
-            else:
-                self._expand(node)
-        return key
+    def _key(self, h: History, p: Process, q: Process) -> str:
+        return _pi_key(h, p, q)
 
-    def _world_moves(self, node: _PiNode):
-        moves = {}
-        guards = list(guard_pairs(node.p)) + list(guard_pairs(node.q))
-        for kind, s, t in guards:
-            if not (isinstance(s, Var) and isinstance(t, Var)) or s == t:
-                continue
-            for cand in (Substitution.of({s.name: t}), Substitution.of({t.name: s})):
-                if respects(cand, node.h):
-                    moves.setdefault(str(cand), ("subst", cand))
-        neq_vars: dict[str, tuple[Term, Term]] = {}
-        for kind, s, t in guards:
-            if kind == "!=":
-                for v in term_free_vars(s) | term_free_vars(t):
-                    neq_vars.setdefault(v, (s, t))
-        bound = set()
-        for pr in (node.p, node.q):
-            bound |= bound_names(pr)
-        extruded = set(node.h.outputs())
-        for v in sorted(set(neq_vars) - bound - extruded):
-            moves.setdefault(f"fresh:{v}", ("fresh", (v, neq_vars[v])))
-        return list(moves.values())
+    def _pair_key(self, node: _PiNode) -> str:
+        return canonical_key(promote(node.p), promote(node.q))
 
-    def _expand(self, node: _PiNode) -> None:
+    def _expand(self, node: _PiNode, keep_pairs: bool = False) -> None:
+        """World edges and side moves of a node; they hold the minted
+        successor (history, left, right) only with `keep_pairs`."""
         gen = self.gen
-        for kind, data in self._world_moves(node):
-            if kind == "subst":
-                sub = data
-                h2 = History(tuple(
-                    (k, sub(t)) for k, t in node.h.events
-                ))
-                p2, q2 = substitute(node.p, sub), substitute(node.q, sub)
-                key = self.child(h2, p2, q2, node.depth + 1)
-                mv = WorldMove("subst", sub)
-                minted = (h2, p2, q2)
-            else:
-                # fresh-output clause: P{z -> x} related at h.x^o (h unchanged)
-                v, guard = data
-                x = gen.fresh("f")
-                sub = Substitution.of({v: Var(x)})
-                h2 = node.h.output(x)
-                p2, q2 = substitute(node.p, sub), substitute(node.q, sub)
-                key = self.child(h2, p2, q2, node.depth + 1)
-                mv = WorldMove("fresh", sub, guard=guard, private=x)
-                minted = (h2, p2, q2)
+        for mv, h2 in pi_worlds(node.h, (node.p, node.q), gen):
+            minted = (h2, substitute(node.p, mv.sigma), substitute(node.q, mv.sigma))
+            key = self._child(*minted, node.depth + 1)
             if key != node.key:
-                node.world_edges.append((mv, key, minted))
+                node.world_edges.append((mv, key, minted if keep_pairs else None))
 
         steps_p = late_transitions(node.h, node.p, self.th, gen)
         steps_q = late_transitions(node.h, node.q, self.th, gen)
@@ -1392,9 +1405,9 @@ class _PiGame:
                             r.target, Substitution.of({r.binder: Var(t.binder)})
                         )
                     pair = (t.target, r_target) if side == 0 else (r_target, t.target)
-                    replies.append(
-                        (self.child(h2, *pair, node.depth + 1), (h2,) + pair)
-                    )
+                    minted = (h2,) + pair
+                    replies.append((self._child(*minted, node.depth + 1),
+                                    minted if keep_pairs else None))
                 label_data = (t.kind, t.channel, t.payload, t.binder)
                 node.side_moves.append(_SideMove(
                     side, t.rendered(), label_data, replies, True,
@@ -1408,102 +1421,33 @@ class _PiGame:
             return h.input(Var(t.binder))
         return h
 
-    def solve(self) -> dict[str, tuple[int, object]]:
-        killed: dict[str, tuple[int, object]] = {}
-        stratum = 0
-        changed = True
-        while changed:
-            changed = False
-            stratum += 1
-            new_kills = {}
-            for key, node in self.nodes.items():
-                if key in killed or node.frontier:
-                    continue
-                cert = None
-                for mv, k, _minted in node.world_edges:
-                    if k in killed:
-                        cert = ("refine", mv, k)
-                        break
-                if cert is None:
-                    for m in node.side_moves:
-                        dead = [k for k in m.reply_keys() if k in killed]
-                        if len(dead) == len(m.replies):
-                            cert = ("move", m)
-                            if not m.replies:
-                                break
-                if cert is not None:
-                    new_kills[key] = (stratum, cert)
-            if new_kills:
-                killed.update(new_kills)
-                changed = True
-        return killed
 
-
-def _build_pi_strategy(game: _PiGame, killed, h, p, q) -> Strategy:
-    """Replay from concrete states so names stay coherent (see the early
-    variant)."""
-    key = _pi_key(h, p, q)
-    stratum, cert = killed[key]
-    node = _PiNode(h, p, q, key, 0)
-    game.nodes[key] = node
-    game._expand(node)
-    if cert[0] == "refine":
-        _, mv, child_key = cert
-        for mv2, k2, minted in node.world_edges:
-            if k2 == child_key:
-                return RefineNode(mv2, _build_pi_strategy(game, killed, *minted))
-        raise AssertionError("replayed pi node lost its refine edge")
-    _, m = cert
-    want = (m.side, m.label_data[0], frozenset(m.reply_keys()))
-    for m2 in node.side_moves:
-        if (m2.side, m2.label_data[0], frozenset(m2.reply_keys())) != want:
-            continue
-        if not all(k in killed for k in m2.reply_keys()):
-            continue
-        if not m2.replies:
-            return CapabilityLeaf(m2.side, m2.label, m2.label_data,
-                                  node=(h, p, q))
-        children = tuple(
-            _build_pi_strategy(game, killed, *minted) for _, minted in m2.replies
-        )
-        return MoveNode(m2.side, m2.label, m2.label_data, children)
-    raise AssertionError("replayed pi node lost its killing move")
+def _pi_root(p: Process, q: Process) -> tuple[NameGen, History]:
+    """The name generator and the history a late pi game of p and q starts
+    from: every name of p and q reserved, their free names as inputs."""
+    gen = NameGen()
+    gen.reserve(free_vars(p) | free_vars(q) | bound_names(p) | bound_names(q))
+    return gen, History.inputs_for(*sorted(free_vars(p) | free_vars(q)))
 
 
 def open_bisim_pi_check(
     p: Process, q: Process, th: Theory, cfg: CheckConfig = CheckConfig()
 ) -> Verdict:
     """History-indexed open bisimilarity for the finite pi fragment."""
-    from .syntax import is_pi_fragment
     if not (is_pi_fragment(p) and is_pi_fragment(q)):
         raise NotPiFragment("open_bisim_pi_check covers the pi fragment only")
     if has_replication(p) or has_replication(q):
         raise NotPiFragment("open_bisim_pi_check requires replication-free input")
-    gen = NameGen()
-    gen.reserve(free_vars(p) | free_vars(q) | bound_names(p) | bound_names(q))
-    fv = sorted(free_vars(p) | free_vars(q))
-    h = History.inputs_for(*fv)
+    gen, h = _pi_root(p, q)
     game = _PiGame(th, cfg, gen)
-    root_key = game.child(h, p, q, 0)
+    root = game.node_for(h, p, q, 0)
     killed = game.solve()
-    if root_key in killed:
+    if root.key in killed:
         return DistinguishedVerdict(_build_pi_strategy(game, killed, h, p, q))
-    frontier = any(n.frontier for n in game.nodes.values())
-    if frontier:
+    if any(n.frontier for n in game.nodes.values()):
         return Unknown("depth bound reached")
     # the witness is the alive closure of the root, in exploration order
-    kept, todo = {root_key}, [root_key]
-    while todo:
-        node = game.nodes[todo.pop()]
-        reached = [k for _, k, _minted in node.world_edges]
-        for m in node.side_moves:
-            reached.extend(m.reply_keys())
-        for k in reached:
-            if k not in killed and k not in kept:
-                kept.add(k)
-                todo.append(k)
-    nodes = [n for n in game.nodes.values() if n.key in kept]
-    pairs = tuple((promote(n.p), promote(n.q)) for n in nodes)
-    pi_pairs = tuple((n.h, n.p, n.q) for n in nodes)
-    root_pair = (promote(p), promote(q))
-    return Bisimilar(RelationWitness(pairs, root_pair, "late-pi", cfg, pi_pairs))
+    kept, _ = game._closure(root.key, killed)
+    pairs = tuple((promote(n.p), promote(n.q))
+                  for n in game.nodes.values() if n.key in kept)
+    return Bisimilar(RelationWitness(pairs, (promote(p), promote(q)), "late-pi", cfg))

@@ -26,8 +26,8 @@ from .bisim import (
 from .frames import Distinguished, Equivalent, Frame, static_equiv
 from .lts import NotPiFragment, ReplicationUnbounded, early_transitions
 from .logic import (
-    NotDistinguished, SelfCheckFailed, check, check_pi, parse_formula,
-    pretty_formula,
+    NotDistinguished, Sat, SelfCheckFailed, UnhousedVariable, check, check_pi,
+    parse_formula, pretty_formula,
 )
 from .names import NameGen
 from .syntax import (
@@ -169,7 +169,6 @@ def validate_strategy_text(text: str, th: Theory, cfg: CheckConfig) -> bool:
     """Re-check every leaf of an emitted strategy: static leaves must still
     distinguish their frames, capability leaves must still be one-sided.
     A leaf line of another shape raises ParseError."""
-    gen = NameGen()
     ok = True
     checked = 0
     for n, raw in enumerate(text.splitlines(), 1):
@@ -201,41 +200,20 @@ def validate_strategy_text(text: str, th: Theory, cfg: CheckConfig) -> bool:
             a, b = _parse_pair(at, n, column + len(head) + len(" at "))
             mover, other = (a, b) if side == 0 else (b, a)
             checked += 1
-            if not _has_label(mover, label, th, gen):
-                ok = False
-            if _has_label(other, label, th, gen):
+            if not _has_label(mover, label, th, cfg) or _has_label(other, label, th, cfg):
                 ok = False
         elif line.startswith("capability ") and " at-pi " in line:
             checked += 1  # pi leaves carry history; structural check only
     return ok and checked > 0
 
 
-def _has_label(ep: ExtendedProcess, label: str, th: Theory, gen: NameGen) -> bool:
-    ts = early_transitions(frozenset(), ep, th, gen)
-    if label == "tau":
-        return any(t.label.kind == "tau" for t in ts.transitions)
-    if "!((" in label or "!(" in label:
-        chan = label.split("!(")[0]
-        try:
-            want = parse_term(chan)
-        except TheoryError:
-            return False
-        return any(
-            t.label.kind == "out" and eq_mod(ep.frame(want), t.raw_channel, th)
-            for t in ts.transitions
-        )
-    if "?" in label:
-        chan, payload = label.split("?", 1)
-        try:
-            want = parse_term(chan)
-            pay = parse_term(payload)
-        except TheoryError:
-            return False
-        for schema in ts.inputs:
-            if eq_mod(ep.frame(want), schema.raw_channel, th):
-                return True
+def _has_label(ep: ExtendedProcess, label: str, th: Theory, cfg: CheckConfig) -> bool:
+    """Whether ep has a transition with the label as a strategy prints it:
+    whether the model checker finds <label>tt satisfied."""
+    try:
+        return check(ep, parse_formula(f"<{label}>tt"), th, cfg) is Sat.SAT
+    except (ValueError, TheoryError, UnhousedVariable):
         return False
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -165,30 +165,29 @@ def _match_args(i: int, bindings: dict[str, Term], recipes: list[Term], lhs: App
     if i == len(lhs.args):
         results.append((dict(bindings), list(recipes)))
         return
+    # the pattern itself is matched and its bindings checked against the
+    # earlier ones: a bound value may hold a name spelled like a rule variable
     pat = lhs.args[i]
-    inst = apply_map(pat, bindings)
-    if not free_vars(inst) & rule_vars:
+    if free_vars(pat) & rule_vars <= bindings.keys():
         # fully determined: need a recipe for its normal form
-        value = normalize(inst, th)
+        value = normalize(apply_map(pat, bindings), th)
         recs = known.get(value)
         if recs:
             recipes.append(recs[0])
             _match_args(i + 1, bindings, recipes, lhs, rule_vars, known, th, results)
             recipes.pop()
         return
-    if isinstance(inst, Var):
+    if isinstance(pat, Var):
         return  # unconstrained argument: nothing informative to learn
     for value, recs in list(known.items()):
         if not recs:
             continue
         rec = recs[0]
-        m = match_term(inst, value, rule_vars)
-        if m is None:
+        m = match_term(pat, value, rule_vars)
+        if m is None or any(bindings.get(x, v) != v for x, v in m.items()):
             continue
-        new_bindings = dict(bindings)
-        new_bindings.update(m)
         recipes.append(rec)
-        _match_args(i + 1, new_bindings, recipes, lhs, rule_vars, known, th, results)
+        _match_args(i + 1, {**bindings, **m}, recipes, lhs, rule_vars, known, th, results)
         recipes.pop()
 
 

@@ -23,14 +23,15 @@ from typing import Iterable, Optional
 
 from .bisim import (
     Bisimilar, CapabilityLeaf, CheckConfig, MoveNode, RefineNode, StaticLeaf,
-    Strategy, Unknown, WorldMove, apply_world_move, open_bisim_pi_check,
-    quasi_open_check, representative_worlds,
+    Strategy, Unknown, WorldMove, _rename_frame_var, apply_world_move,
+    canonical_render_term, open_bisim_pi_check, pi_worlds, quasi_open_check,
+    representative_worlds,
 )
-from .lts import History, early_transitions, late_transitions, respects
+from .lts import History, early_transitions, late_transitions
 from .names import NameGen
 from .syntax import (
     ExtendedProcess, Process, canonical_key, free_vars as proc_free_vars,
-    guard_pairs, promote, substitute,
+    guard_pairs, make_extended, promote, substitute,
 )
 from .terms import (
     MAX_NESTING, Substitution, Term, Theory, Var, eq_mod, free_vars, normalize,
@@ -175,9 +176,7 @@ def subst_formula(f: Formula, sub: Substitution) -> Formula:
         return Equal(sub(f.left), sub(f.right))
     if isinstance(f, (And, Or, Implies)):
         return type(f)(subst_formula(f.left, sub), subst_formula(f.right, sub))
-    lab = f.label
-    chan = sub(lab.channel) if lab.channel is not None else None
-    payload = sub(lab.payload) if lab.payload is not None else None
+    lab = _subst_label(f.label, sub)
     inner_sub = sub
     if lab.binder is not None:
         inner_sub = Substitution(
@@ -189,9 +188,8 @@ def subst_formula(f: Formula, sub: Substitution) -> Formula:
             while fresh in inner_sub.range_vars() or fresh in formula_vars(f.body):
                 fresh += "'"
             body = subst_formula(f.body, Substitution.of({lab.binder: Var(fresh)}))
-            lab = LabelPat(lab.kind, chan, payload, fresh)
+            lab = LabelPat(lab.kind, lab.channel, lab.payload, fresh)
             return type(f)(lab, subst_formula(body, inner_sub))
-    lab = LabelPat(lab.kind, chan, payload, lab.binder)
     return type(f)(lab, subst_formula(f.body, inner_sub))
 
 
@@ -206,107 +204,99 @@ def _equality_pairs(f: Formula) -> list[tuple[Term, Term]]:
 
 
 # ---------------------------------------------------------------------------
-# Satisfaction, applied-pi mode
+# Satisfaction: one checker, two modes
 
 
-class _FMChecker:
+class _Checker:
+    """Three-valued satisfaction, memoized per state and formula, with one
+    rule per connective.  Implication and box range over the worlds of a
+    state (`_worlds`), the modalities over a label's successors.  A mode
+    supplies `_state_key`, `_equal`, one step of world refinement
+    (`_refinements`: (state, substitution) pairs and whether they may be
+    incomplete) and the successors (`_matching`: (state, instantiated body)
+    pairs and whether they are complete)."""
+
     def __init__(self, th: Theory, cfg: CheckConfig):
         self.th = th
-        self.cfg = cfg
         self.gen = NameGen()
-        self.memo: dict[tuple[str, str], Sat] = {}
+        self.memo: dict[tuple, Sat] = {}
         self.world_cap = max(6, cfg.max_depth // 4)
 
-    def eval(self, ep: ExtendedProcess, f: Formula) -> Sat:
-        key = (canonical_key(ep), _formula_key(f))
+    def eval(self, state, f: Formula) -> Sat:
+        key = (self._state_key(state), pretty_formula(f))
         got = self.memo.get(key)
         if got is not None:
             return got
         self.memo[key] = Sat.UNKNOWN  # cycle guard (worlds may revisit)
-        out = self._eval(ep, f)
+        out = self._eval(state, f)
         self.memo[key] = out
         return out
 
-    # world closure: reflexive-transitive representative refinements
-    def _worlds(self, ep: ExtendedProcess, f: Formula):
-        from .bisim import canonical_render_term
+    def _worlds(self, state, f: Formula):
+        """The state and its refinements, reflexively and transitively up
+        to `world_cap` steps, each with the substitution accumulated on the
+        way (restricted to f's variables, part of a world's identity); and
+        whether the closure was truncated."""
         eqs = tuple(_equality_pairs(f))
         fvf = formula_vars(f)
-        neq_vars = frozenset(v for s, t in eqs for v in free_vars(s) | free_vars(t))
 
-        def wkey(state: ExtendedProcess, acc: Substitution) -> str:
-            sub = acc.restrict(fvf)
+        def key(world, acc: Substitution) -> tuple:
             tail = ";".join(
-                f"{x}={canonical_render_term(t)}" for x, t in sub.bindings
+                f"{x}={canonical_render_term(t)}" for x, t in acc.restrict(fvf).bindings
             )
-            return canonical_key(state) + "|" + tail
+            return self._state_key(world), tail
 
-        seen = {wkey(ep, Substitution.identity()): (ep, Substitution.identity())}
-        frontier = [(ep, Substitution.identity())]
+        ident = Substitution.identity()
+        seen = {key(state, ident): (state, ident)}
+        frontier = [(state, ident)]
         truncated = False
         depth = 0
         while frontier and depth < self.world_cap:
             depth += 1
             nxt = []
-            for state, acc in frontier:
-                moves, trunc = representative_worlds(
-                    (state,), self.th, self.gen,
-                    extra_eqs=tuple(
-                        (acc_apply(acc, s), acc_apply(acc, t)) for s, t in eqs
-                    ),
-                    extra_neq_vars=frozenset(
-                        acc(Var(v)).name for v in neq_vars
-                        if isinstance(acc(Var(v)), Var)
-                    ),
-                )
+            for world, acc in frontier:
+                steps, trunc = self._refinements(world, acc, eqs)
                 truncated = truncated or trunc
-                for mv in moves:
-                    child = apply_world_move(state, mv, self.th)
-                    comp = acc.compose(mv.formula_sigma())
-                    ck = wkey(child, comp)
-                    if ck in seen:
-                        continue
-                    seen[ck] = (child, comp)
-                    nxt.append((child, comp))
+                for child, sigma in steps:
+                    comp = acc.compose(sigma)
+                    ck = key(child, comp)
+                    if ck not in seen:
+                        seen[ck] = (child, comp)
+                        nxt.append((child, comp))
             frontier = nxt
-        if frontier:
-            truncated = True
-        return list(seen.values()), truncated
+        return list(seen.values()), truncated or bool(frontier)
 
-    def _eval(self, ep: ExtendedProcess, f: Formula) -> Sat:
-        th = self.th
+    def _eval(self, state, f: Formula) -> Sat:
         if isinstance(f, Top):
             return Sat.SAT
         if isinstance(f, Bottom):
             return Sat.UNSAT
         if isinstance(f, Equal):
-            if (free_vars(f.left) | free_vars(f.right)) & set(ep.privates):
-                return Sat.UNSAT
-            return Sat.SAT if eq_mod(ep.frame(f.left), ep.frame(f.right), th) else Sat.UNSAT
+            return self._equal(state, f)
         if isinstance(f, And):
-            l, r = self.eval(ep, f.left), self.eval(ep, f.right)
+            l, r = self.eval(state, f.left), self.eval(state, f.right)
             if Sat.UNSAT in (l, r):
                 return Sat.UNSAT
             if Sat.UNKNOWN in (l, r):
                 return Sat.UNKNOWN
             return Sat.SAT
         if isinstance(f, Or):
-            l, r = self.eval(ep, f.left), self.eval(ep, f.right)
+            l, r = self.eval(state, f.left), self.eval(state, f.right)
             if Sat.SAT in (l, r):
                 return Sat.SAT
             if Sat.UNKNOWN in (l, r):
                 return Sat.UNKNOWN
             return Sat.UNSAT
         if isinstance(f, Implies):
-            worlds, truncated = self._worlds(ep, f)
+            worlds, truncated = self._worlds(state, f)
             unknown = truncated
-            for state, acc in worlds:
+            for world, acc in worlds:
                 fl = subst_formula(f.left, acc)
                 fr = subst_formula(f.right, acc)
-                l = self.eval(state, fl)
+                l = self.eval(world, fl)
                 if l is Sat.UNSAT:
                     continue
-                r = self.eval(state, fr)
+                r = self.eval(world, fr)
                 if l is Sat.SAT and r is Sat.UNSAT:
                     return Sat.UNSAT
                 if Sat.UNKNOWN in (l, r):
@@ -314,7 +304,7 @@ class _FMChecker:
             return Sat.UNKNOWN if unknown else Sat.SAT
         if isinstance(f, Diamond):
             found_unknown = False
-            targets, complete = self._transitions(ep, f.label, f.body)
+            targets, complete = self._matching(state, f.label, f.body)
             for target, body in targets:
                 r = self.eval(target, body)
                 if r is Sat.SAT:
@@ -325,12 +315,12 @@ class _FMChecker:
                 return Sat.UNKNOWN
             return Sat.UNSAT
         if isinstance(f, Box):
-            worlds, truncated = self._worlds(ep, f)
+            worlds, truncated = self._worlds(state, f)
             unknown = truncated
-            for state, acc in worlds:
+            for world, acc in worlds:
                 f2 = subst_formula(f, acc)
                 lab, body0 = f2.label, f2.body
-                targets, complete = self._transitions(state, lab, body0)
+                targets, complete = self._matching(world, lab, body0)
                 if not complete:
                     unknown = True
                 for target, body in targets:
@@ -342,8 +332,35 @@ class _FMChecker:
             return Sat.UNKNOWN if unknown else Sat.SAT
         raise TypeError(f)
 
-    def _transitions(self, ep: ExtendedProcess, lab: LabelPat,
-                     body: Optional[Formula] = None):
+
+# Applied-pi mode: extended processes, early labels
+
+
+class _FMChecker(_Checker):
+    def _state_key(self, ep: ExtendedProcess) -> str:
+        return canonical_key(ep)
+
+    def _equal(self, ep: ExtendedProcess, f: Equal) -> Sat:
+        if (free_vars(f.left) | free_vars(f.right)) & set(ep.privates):
+            return Sat.UNSAT
+        return Sat.SAT if eq_mod(ep.frame(f.left), ep.frame(f.right), self.th) else Sat.UNSAT
+
+    def _refinements(self, ep: ExtendedProcess, acc: Substitution, eqs):
+        """The representative refinements of ep, with the formula's
+        equations and their names (under acc) as extra guards; a fresh
+        extension is seen through its exported alias."""
+        moves, truncated = representative_worlds(
+            (ep,), self.th, self.gen,
+            extra_eqs=tuple((acc(s), acc(t)) for s, t in eqs),
+            extra_neq_vars=frozenset(
+                acc(Var(v)).name for s, t in eqs for v in free_vars(s) | free_vars(t)
+                if isinstance(acc(Var(v)), Var)
+            ),
+        )
+        return [(apply_world_move(ep, mv, self.th), mv.formula_sigma())
+                for mv in moves], truncated
+
+    def _matching(self, ep: ExtendedProcess, lab: LabelPat, body: Formula):
         """(successor, instantiated body) pairs matching the label; the flag
         reports completeness of the enumeration."""
         th = self.th
@@ -352,8 +369,6 @@ class _FMChecker:
         if ts.dropped_channels and not th.saturation_complete:
             complete = False
         out = []
-        if body is None:
-            body = Top()
         if lab.kind == "tau":
             for t in ts.transitions:
                 if t.label.kind == "tau":
@@ -367,7 +382,6 @@ class _FMChecker:
                 if not eq_mod(want, t.raw_channel, th):
                     continue
                 fresh = self.gen.fresh(lab.binder or "u")
-                from .bisim import _rename_frame_var
                 target = _rename_frame_var(t.target, t.label.binder, fresh)
                 inst = subst_formula(body, Substitution.of({lab.binder: Var(fresh)}))
                 out.append((target, inst))
@@ -384,10 +398,6 @@ class _FMChecker:
         raise UnhousedVariable(f"label kind {lab.kind!r} needs the late-pi mode")
 
 
-def acc_apply(acc: Substitution, t: Term) -> Term:
-    return acc(t)
-
-
 def _subst_label(lab: LabelPat, sub: Substitution) -> LabelPat:
     return LabelPat(
         lab.kind,
@@ -395,10 +405,6 @@ def _subst_label(lab: LabelPat, sub: Substitution) -> LabelPat:
         sub(lab.payload) if lab.payload is not None else None,
         lab.binder,
     )
-
-
-def _formula_key(f: Formula) -> str:
-    return pretty_formula(f)
 
 
 def check(
@@ -409,7 +415,6 @@ def check(
 ) -> Sat:
     """Three-valued satisfaction for the applied-pi logic."""
     ep = promote(a)
-    from .syntax import make_extended
     ep = make_extended(ep.privates, ep.frame, ep.body, th, ep.frame_order)
     housed = ep.free_variables() | ep.frame.domain
     loose = formula_vars(f) - housed
@@ -418,151 +423,50 @@ def check(
     return _FMChecker(th, cfg).eval(ep, f)
 
 
-# ---------------------------------------------------------------------------
-# Satisfaction, pi mode (late labels, histories)
+# Pi mode: plain pi processes under a history, late labels
 
 
-class _OMChecker:
-    def __init__(self, th: Theory, cfg: CheckConfig):
-        self.th = th
-        self.cfg = cfg
-        self.gen = NameGen()
-        self.memo: dict[tuple, Sat] = {}
-        self.world_cap = max(6, cfg.max_depth // 4)
+class _OMChecker(_Checker):
+    """States are (history, process) pairs."""
 
-    def eval(self, h: History, p: Process, f: Formula) -> Sat:
-        key = (h.rendered(), canonical_key(promote(p)), _formula_key(f))
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        self.memo[key] = Sat.UNKNOWN
-        out = self._eval(h, p, f)
-        self.memo[key] = out
-        return out
+    def _state_key(self, state: tuple[History, Process]) -> tuple[str, str]:
+        h, p = state
+        return h.rendered(), canonical_key(promote(p))
 
-    def _worlds(self, h: History, p: Process, f: Formula):
-        cands: dict[str, tuple[History, Process, Substitution]] = {}
-        cands["id"] = (h, p, Substitution.identity())
-        frontier = [("id", h, p, Substitution.identity())]
-        depth = 0
-        while frontier and depth < self.world_cap:
-            depth += 1
-            nxt = []
-            for _, hh, pp, acc in frontier:
-                eqs = [(s, t) for _, s, t in guard_pairs(pp)]
-                eqs += [(acc(s), acc(t)) for s, t in _equality_pairs(f)]
-                moves: list[tuple[str, object]] = []
-                for s, t in eqs:
-                    if not (isinstance(s, Var) and isinstance(t, Var)) or s == t:
-                        continue
-                    for cand in (Substitution.of({s.name: t}),
-                                 Substitution.of({t.name: s})):
-                        if respects(cand, hh):
-                            moves.append(("subst", cand))
-                neq_vars = set()
-                for _, s, t in guard_pairs(pp):
-                    neq_vars |= free_vars(s) | free_vars(t)
-                for s, t in _equality_pairs(f):
-                    neq_vars |= free_vars(acc(s)) | free_vars(acc(t))
-                from .syntax import bound_names
-                neq_vars -= bound_names(pp)
-                neq_vars -= set(hh.outputs())
-                for v in sorted(neq_vars):
-                    moves.append(("fresh", v))
-                for kind, data in moves:
-                    if kind == "subst":
-                        sub = data
-                        h2 = History(tuple((k, sub(t)) for k, t in hh.events))
-                        p2 = substitute(pp, sub)
-                    else:
-                        x = self.gen.fresh("f")
-                        sub = Substitution.of({data: Var(x)})
-                        h2 = hh.output(x)
-                        p2 = substitute(pp, sub)
-                    acc2 = acc.compose(sub)
-                    from .bisim import canonical_render_term
-                    tail = ";".join(
-                        f"{x}={canonical_render_term(t)}"
-                        for x, t in acc2.restrict(formula_vars(f)).bindings
-                    )
-                    key = h2.rendered() + canonical_key(promote(p2)) + "|" + tail
-                    if key not in cands:
-                        cands[key] = (h2, p2, acc2)
-                        nxt.append((key, h2, p2, acc2))
-            frontier = nxt
-        return list(cands.values()), bool(frontier)
+    def _equal(self, state, f: Equal) -> Sat:
+        return Sat.SAT if f.left == f.right else Sat.UNSAT
 
-    def _eval(self, h: History, p: Process, f: Formula) -> Sat:
-        if isinstance(f, Top):
-            return Sat.SAT
-        if isinstance(f, Bottom):
-            return Sat.UNSAT
-        if isinstance(f, Equal):
-            return Sat.SAT if f.left == f.right else Sat.UNSAT
-        if isinstance(f, And):
-            l, r = self.eval(h, p, f.left), self.eval(h, p, f.right)
-            if Sat.UNSAT in (l, r):
-                return Sat.UNSAT
-            return Sat.UNKNOWN if Sat.UNKNOWN in (l, r) else Sat.SAT
-        if isinstance(f, Or):
-            l, r = self.eval(h, p, f.left), self.eval(h, p, f.right)
-            if Sat.SAT in (l, r):
-                return Sat.SAT
-            return Sat.UNKNOWN if Sat.UNKNOWN in (l, r) else Sat.UNSAT
-        if isinstance(f, Implies):
-            worlds, truncated = self._worlds(h, p, f)
-            unknown = truncated
-            for hh, pp, acc in worlds:
-                l = self.eval(hh, pp, subst_formula(f.left, acc))
-                if l is Sat.UNSAT:
-                    continue
-                r = self.eval(hh, pp, subst_formula(f.right, acc))
-                if l is Sat.SAT and r is Sat.UNSAT:
-                    return Sat.UNSAT
-                if Sat.UNKNOWN in (l, r):
-                    unknown = True
-            return Sat.UNKNOWN if unknown else Sat.SAT
-        if isinstance(f, Diamond):
-            for h2, target, body in self._matching(h, p, f.label, f.body):
-                if self.eval(h2, target, body) is Sat.SAT:
-                    return Sat.SAT
-            return Sat.UNSAT
-        if isinstance(f, Box):
-            worlds, truncated = self._worlds(h, p, f)
-            unknown = truncated
-            for hh, pp, acc in worlds:
-                f2 = subst_formula(f, acc)
-                lab, body0 = f2.label, f2.body
-                for h2, target, body in self._matching(hh, pp, lab, body0):
-                    r = self.eval(h2, target, body)
-                    if r is Sat.UNSAT:
-                        return Sat.UNSAT
-                    if r is Sat.UNKNOWN:
-                        unknown = True
-            return Sat.UNKNOWN if unknown else Sat.SAT
-        raise TypeError(f)
+    def _refinements(self, state: tuple[History, Process], acc: Substitution, eqs):
+        """The pi world moves of the state, with the formula's equations
+        (under acc) as extra guards and every name of a guard or equation
+        as a candidate for a fresh name."""
+        h, p = state
+        extra = [(acc(s), acc(t)) for s, t in eqs]
+        names = set()
+        for s, t in [(s, t) for _, s, t in guard_pairs(p)] + extra:
+            names |= free_vars(s) | free_vars(t)
+        return [((h2, substitute(p, mv.sigma)), mv.sigma)
+                for mv, h2 in pi_worlds(h, (p,), self.gen, extra, names)], False
 
-    def _matching(self, h: History, p: Process, lab: LabelPat, body: Formula):
+    def _matching(self, state: tuple[History, Process], lab: LabelPat, body: Formula):
+        """Pi successors are always complete."""
+        h, p = state
         out = []
         for t in late_transitions(h, p, self.th, self.gen):
             if lab.kind == "tau" and t.kind == "tau":
-                out.append((h, t.target, body))
+                out.append(((h, t.target), body))
             elif lab.kind == "free-out" and t.kind == "free-out":
                 if t.channel == lab.channel and t.payload == lab.payload:
-                    out.append((h, t.target, body))
-            elif lab.kind == "out" and t.kind == "bound-out":
+                    out.append(((h, t.target), body))
+            elif (lab.kind, t.kind) in (("out", "bound-out"), ("late-in", "late-in")):
                 if t.channel == lab.channel:
-                    fresh = self.gen.fresh(lab.binder or "z")
+                    bound_out = lab.kind == "out"
+                    fresh = self.gen.fresh(lab.binder or ("z" if bound_out else "y"))
                     tgt = substitute(t.target, Substitution.of({t.binder: Var(fresh)}))
                     b = subst_formula(body, Substitution.of({lab.binder: Var(fresh)}))
-                    out.append((h.output(fresh), tgt, b))
-            elif lab.kind == "late-in" and t.kind == "late-in":
-                if t.channel == lab.channel:
-                    fresh = self.gen.fresh(lab.binder or "y")
-                    tgt = substitute(t.target, Substitution.of({t.binder: Var(fresh)}))
-                    b = subst_formula(body, Substitution.of({lab.binder: Var(fresh)}))
-                    out.append((h.input(Var(fresh)), tgt, b))
-        return out
+                    h2 = h.output(fresh) if bound_out else h.input(Var(fresh))
+                    out.append(((h2, tgt), b))
+        return out, True
 
 
 def check_pi(
@@ -572,7 +476,7 @@ def check_pi(
     """Three-valued satisfaction for the pi-fragment logic (late labels)."""
     fv = sorted(proc_free_vars(p) | {v for v in formula_vars(f) if not v.startswith("?")})
     h = history if history is not None else History.inputs_for(*fv)
-    return _OMChecker(th, cfg).eval(h, p, f)
+    return _OMChecker(th, cfg).eval((h, p), f)
 
 
 # ---------------------------------------------------------------------------
@@ -890,16 +794,17 @@ def _enabling_tags(node, side: int, label: LabelPat, th: Theory,
     for mv in moves:
         refined = apply_world_move(ep, mv, th)
         lab = _subst_label(label, mv.sigma)
-        targets, _ = checker._transitions(refined, lab, Top())
+        targets, _ = checker._matching(refined, lab, Top())
         if targets:
             tags.append(_move_constraints(mv))
     return tags
 
 
-def _formulas_from_strategy(s: Strategy, th: Theory, cfg: CheckConfig,
-                            mode: str) -> tuple[Formula, Formula]:
-    """Primary candidate pair (phi_L, phi_R): phi_L biased to the left
-    process, phi_R to the right."""
+def _formulas_from_strategy(s: Strategy, th: Theory, cfg: CheckConfig, mode: str,
+                            guard_both: bool = False) -> tuple[Formula, Formula]:
+    """Candidate pair (phi_L, phi_R): phi_L biased to the left process,
+    phi_R to the right.  A refine step guards the formula of the side that
+    moves next, or with `guard_both` both formulas."""
     if isinstance(s, StaticLeaf):
         eq = Equal(s.left_recipe, s.right_recipe)
         ne = neq(s.left_recipe, s.right_recipe)
@@ -911,15 +816,17 @@ def _formulas_from_strategy(s: Strategy, th: Theory, cfg: CheckConfig,
         other = Box(lab, disj(tags))
         return (mover, other) if s.side == 0 else (other, mover)
     if isinstance(s, RefineNode):
-        l, r = _formulas_from_strategy(s.child, th, cfg, mode)
+        l, r = _formulas_from_strategy(s.child, th, cfg, mode, guard_both)
         guard = _move_constraints(s.move)
         mover_side = _strategy_side(s.child)
-        if mover_side == 0:
-            return (Implies(guard, l), r)
-        return (l, Implies(guard, r))
+        if guard_both or mover_side == 0:
+            l = Implies(guard, l)
+        if guard_both or mover_side == 1:
+            r = Implies(guard, r)
+        return (l, r)
     if isinstance(s, MoveNode):
         lab = _strategy_label(s.label_data)
-        subs = [_formulas_from_strategy(c, th, cfg, mode) for c in s.children]
+        subs = [_formulas_from_strategy(c, th, cfg, mode, guard_both) for c in s.children]
         mover_parts = [p[s.side] for p in subs]
         other_parts = [p[1 - s.side] for p in subs]
         mover = Diamond(lab, conj(mover_parts))
@@ -937,23 +844,9 @@ def _strategy_side(s: Strategy) -> int:
 
 
 def _candidate_pairs(s: Strategy, th: Theory, cfg: CheckConfig, mode: str):
-    primary = _formulas_from_strategy(s, th, cfg, mode)
-    yield primary
+    yield _formulas_from_strategy(s, th, cfg, mode)
     # fallback: guard every refine step on both sides
-    def wrap_all(s: Strategy) -> tuple[Formula, Formula]:
-        if isinstance(s, RefineNode):
-            l, r = wrap_all(s.child)
-            guard = _move_constraints(s.move)
-            return (Implies(guard, l), Implies(guard, r))
-        if isinstance(s, MoveNode):
-            lab = _strategy_label(s.label_data)
-            subs = [wrap_all(c) for c in s.children]
-            mover = Diamond(lab, conj(p[s.side] for p in subs))
-            other = Box(lab, disj(p[1 - s.side] for p in subs))
-            return (mover, other) if s.side == 0 else (other, mover)
-        return _formulas_from_strategy(s, th, cfg, mode)
-
-    yield wrap_all(s)
+    yield _formulas_from_strategy(s, th, cfg, mode, guard_both=True)
 
 
 def distinguish(

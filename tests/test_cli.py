@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from openbisim.corpus import path as corpus_path
 
 
@@ -129,6 +131,28 @@ def test_emit_witness_revalidates(tmp_path):
                          corpus_path("server_b.pi"), THY,
                          "--recipe-depth", "1", "--validate", str(w2)])
     assert code2 == 0 and "valid" in out
+
+
+@pytest.mark.parametrize("pair", ["open_guard", "open_fresh", "tau_sum"])
+def test_late_pi_witness_revalidates(tmp_path, pair):
+    if pair == "tau_sum":
+        left = right = tmp_path / "tau_sum.pi"
+        left.write_text("tau. 0 + tau. tau. 0\n")
+    else:
+        left, right = corpus_path(f"{pair}_l.pi"), corpus_path(f"{pair}_r.pi")
+    args = ["check-bisim", "--late-pi", str(left), str(right), THY]
+    w = tmp_path / "witness.txt"
+    code, _, _ = run(args + ["--emit-witness", str(w)])
+    assert code == 0
+    code, out, _ = run(args + ["--validate", str(w)])
+    assert (code, out) == (0, "valid\n")
+    # without the root's pairs the witness no longer holds
+    lines = w.read_text().splitlines()
+    root = lines[2].replace("root ", "pair ", 1)
+    assert root in lines
+    w.write_text("".join(l + "\n" for l in lines if l != root))
+    code, out, _ = run(args + ["--validate", str(w)])
+    assert (code, out) == (1, "invalid\n")
 
 
 def test_emit_strategy_revalidates(tmp_path):

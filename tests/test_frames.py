@@ -226,6 +226,16 @@ def test_static_verdicts_are_kept_per_theory(ruled_first):
         assert isinstance(static_equiv(a, b, th), want[id(th)])
 
 
+@pytest.mark.parametrize("m", ["m", "M"])
+def test_saturation_reads_a_name_spelled_like_a_rule_variable_as_a_name(m):
+    # unblind(w1, w2) gives sign(n, k) = w3 on the left only, however the
+    # private name bound to the rule variable N is spelled: a name M must
+    # not be read as unblind's rule variable M
+    a = F({"k", m, "n"}, w1=f"sign(blind(n, {m}), k)", w2=m, w3="sign(n, k)")
+    b = F({"k", m, "n", "j"}, w1=f"sign(blind(n, {m}), k)", w2=m, w3="sign(n, j)")
+    assert isinstance(static_equiv(a, b, dy_blind()), Distinguished)
+
+
 # ---------------------------------------------------------------------------
 # Bottom-up recipe images
 

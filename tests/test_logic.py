@@ -93,6 +93,15 @@ def test_om_top():
     assert check_pi(P("[x != y] tau. 0"), F("tt"), TH, PI_CFG) is Sat.SAT
 
 
+def test_om_diamond_is_unknown_over_an_unknown_successor():
+    # seven guards make the world closure longer than the world cap, so
+    # [tau]tt is unknown on p and on its tau successor: <tau>[tau]tt is
+    # unknown too, not unsat
+    p = P("tau. " + " ".join(f"[x{i} != x{i}]" for i in range(1, 8)) + " tau. 0")
+    assert check_pi(p, F("[tau]tt"), TH, PI_CFG) is Sat.UNKNOWN
+    assert check_pi(p, F("<tau>[tau]tt"), TH, PI_CFG) is Sat.UNKNOWN
+
+
 # ---------------------------------------------------------------------------
 # Satisfaction: applied-pi mode
 
