@@ -955,7 +955,6 @@ class _EarlyGame(_Game):
 
     def __init__(self, th: Theory, cfg: CheckConfig, gen: NameGen):
         super().__init__(th, cfg, gen)
-        self.truncation = False
         self._trans_cache: dict[ExtendedProcess, object] = {}
 
     def _key(self, a: ExtendedProcess, b: ExtendedProcess) -> str:
@@ -979,7 +978,6 @@ class _EarlyGame(_Game):
         moves, truncated = representative_worlds((a, b), th, gen)
         if truncated:
             node.taint = node.taint or "unifier search truncated"
-            self.truncation = True
         for mv in moves:
             a2 = apply_world_move(a, mv, th)
             b2 = apply_world_move(b, mv, th)

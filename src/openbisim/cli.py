@@ -24,16 +24,19 @@ from .bisim import (
     quasi_open_check, validate_witness,
 )
 from .frames import Distinguished, Equivalent, Frame, static_equiv
-from .lts import NotPiFragment, ReplicationUnbounded, early_transitions
+from .lts import History, NotPiFragment, ReplicationUnbounded, early_transitions
 from .logic import (
     NotDistinguished, Sat, SelfCheckFailed, UnhousedVariable, check, check_pi,
-    parse_formula, pretty_formula,
+    distinguish, parse_formula, pretty_formula,
 )
 from .names import NameGen
 from .syntax import (
-    ExtendedProcess, ParseError, parse, pretty, pretty_extended, promote,
+    ExtendedProcess, ParseError, make_extended, parse, parse_process, pretty,
+    pretty_extended, promote,
 )
-from .terms import TheoryError, Theory, eq_mod, load_theory, parse_term, render_term
+from .terms import (
+    TheoryError, Theory, Var, eq_mod, load_theory, parse_term, render_term,
+)
 
 EX_OK, EX_NO, EX_UNKNOWN = 0, 1, 2
 EX_USAGE, EX_NOINPUT, EX_SOFTWARE = 64, 66, 70
@@ -121,16 +124,17 @@ def parse_witness(text: str, cfg: CheckConfig) -> RelationWitness:
     return RelationWitness(tuple(pairs), root, second[len("mode "):], cfg)
 
 
-def _parse_pair(text: str, n: int, column: int) -> tuple[ExtendedProcess, ExtendedProcess]:
+def _parse_pair(text: str, n: int, column: int, pi: bool = False):
     """The two processes of `P ~~ Q`, which starts at `column` of line `n`
-    of a witness or strategy file; errors point into that file."""
+    of a witness or strategy file; errors point into that file.  They are
+    extended processes, or with `pi` plain processes."""
     sides = text.split(" ~~ ")
     if len(sides) != 2:
         raise ParseError(n, column, "'P ~~ Q'", text)
     out = []
     for side in sides:
         try:
-            out.append(promote(parse(side)))
+            out.append(parse_process(side) if pi else promote(parse(side)))
         except ParseError as exc:
             raise ParseError(n, column + exc.column - 1, exc.expected, exc.found) from None
         column += len(side) + len(" ~~ ")
@@ -167,8 +171,9 @@ def render_strategy(s, indent: int = 0) -> str:
 
 def validate_strategy_text(text: str, th: Theory, cfg: CheckConfig) -> bool:
     """Re-check every leaf of an emitted strategy: static leaves must still
-    distinguish their frames, capability leaves must still be one-sided.
-    A leaf line of another shape raises ParseError."""
+    distinguish their frames, capability leaves must still be one-sided
+    (late-pi ones under their history).  A leaf line of another shape
+    raises ParseError."""
     ok = True
     checked = 0
     for n, raw in enumerate(text.splitlines(), 1):
@@ -190,29 +195,62 @@ def validate_strategy_text(text: str, th: Theory, cfg: CheckConfig) -> bool:
             checked += 1
             if ea == eb or (equal_on == "a") != ea:
                 ok = False
-        elif line.startswith("capability ") and " at " in line:
-            head, at = line.split(" at ", 1)
+        elif line.startswith("capability ") and (" at " in line or " at-pi " in line):
+            sep = " at " if " at " in line else " at-pi "
+            head, at = line.split(sep, 1)
             bits = head.split(" ", 2)
             if len(bits) < 3 or bits[1] not in ("left", "right"):
-                raise ParseError(n, column, "'capability left|right LABEL at P ~~ Q'", line)
+                raise ParseError(n, column, f"'capability left|right LABEL{sep}P ~~ Q'", line)
             side = 0 if bits[1] == "left" else 1
             label = bits[2]
-            a, b = _parse_pair(at, n, column + len(head) + len(" at "))
+            start = column + len(head) + len(sep)
+            history = None
+            if sep == " at ":
+                a, b = _parse_pair(at, n, start)
+            else:
+                h_txt, colon, pair = at.partition(" : ")
+                if not colon:
+                    raise ParseError(n, start, "'H : P ~~ Q'", at)
+                history = _parse_history(h_txt, n, start)
+                a, b = _parse_pair(pair, n, start + len(h_txt) + len(" : "), pi=True)
             mover, other = (a, b) if side == 0 else (b, a)
             checked += 1
-            if not _has_label(mover, label, th, cfg) or _has_label(other, label, th, cfg):
+            if (not _has_label(mover, label, th, cfg, history)
+                    or _has_label(other, label, th, cfg, history)):
                 ok = False
-        elif line.startswith("capability ") and " at-pi " in line:
-            checked += 1  # pi leaves carry history; structural check only
     return ok and checked > 0
 
 
-def _has_label(ep: ExtendedProcess, label: str, th: Theory, cfg: CheckConfig) -> bool:
-    """Whether ep has a transition with the label as a strategy prints it:
-    whether the model checker finds <label>tt satisfied."""
+def _parse_history(text: str, n: int, column: int) -> History:
+    """A late-pi history as History.rendered() prints it: `e`, or events
+    `M^i` (an input) and `x^o` (an extruded name) joined by '.'."""
+    events = []
+    for event in ([] if text == "e" else text.split(".")):
+        term_txt, _, kind = event.rpartition("^")
+        try:
+            term = parse_term(term_txt)
+        except TheoryError:
+            term = None
+        if kind not in ("i", "o") or term is None or (kind == "o" and not isinstance(term, Var)):
+            raise ParseError(n, column, "a history 'e' or 'M^i.x^o...'", text)
+        events.append((kind, term))
     try:
-        return check(ep, parse_formula(f"<{label}>tt"), th, cfg) is Sat.SAT
-    except (ValueError, TheoryError, UnhousedVariable):
+        return History(tuple(events))
+    except ValueError:
+        raise ParseError(n, column, "a history of distinct extruded names", text) from None
+
+
+def _has_label(p, label: str, th: Theory, cfg: CheckConfig,
+               history: Optional[History] = None) -> bool:
+    """Whether p has a transition with the label as a strategy prints it:
+    whether the model checker finds <label>tt satisfied, with a history
+    by the late-pi checker."""
+    try:
+        formula = parse_formula(f"<{label}>tt")
+        if history is None:
+            return check(p, formula, th, cfg) is Sat.SAT
+        return check_pi(p, formula, th, cfg, history) is Sat.SAT
+    except (ValueError, TheoryError, UnhousedVariable, NotPiFragment):
         return False
 
 
@@ -335,7 +373,7 @@ def cmd_distinguish(args) -> int:
     cfg = _config(args)
     left, right = _load_process(args.left), _load_process(args.right)
     try:
-        result = distinguish_entry(left, right, th, cfg)
+        result = distinguish(left, right, th, cfg)
     except SelfCheckFailed as exc:
         _die(EX_SOFTWARE, f"internal self-check failure: {exc}")
     if isinstance(result, NotDistinguished):
@@ -353,21 +391,14 @@ def cmd_distinguish(args) -> int:
     return EX_OK
 
 
-def distinguish_entry(left, right, th, cfg):
-    from .logic import distinguish
-    return distinguish(left, right, th, cfg)
-
-
 def cmd_trace(args) -> int:
     th = _with_bound(_load_theory(args.theory), args)
     proc = _load_process(args.process)
     gen = NameGen()
     ep = promote(proc)
-    from .syntax import make_extended
     ep = make_extended(ep.privates, ep.frame, ep.body, th, ep.frame_order)
     lines: list[str] = []
 
-    from .lts import ReplicationUnbounded as _RU
     def walk(state, depth):
         pad = "  " * depth
         if depth == 0:
@@ -377,7 +408,7 @@ def cmd_trace(args) -> int:
         try:
             ts = early_transitions(frozenset(), state, th, gen,
                                    allow_replication=args.unfold > 0)
-        except _RU:
+        except ReplicationUnbounded:
             lines.append(pad + "  (replication: pass --unfold to expand)")
             return
         for t in ts.transitions:
@@ -554,8 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    import sys as _sys
-    _sys.setrecursionlimit(100_000)
+    sys.setrecursionlimit(100_000)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

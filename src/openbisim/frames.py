@@ -137,10 +137,6 @@ def saturate(frame: Frame, th: Theory, extra_publics: frozenset[str] = frozenset
     return known
 
 
-def best_recipes(known: dict[Term, list[Term]]) -> dict[Term, Term]:
-    return {v: rs[0] for v, rs in known.items() if rs}
-
-
 def _recipe_key(r: Term):
     return (term_size(r), render_term(r))
 
@@ -467,7 +463,6 @@ def _static_equiv(a: Frame, b: Frame, th: Theory, depth: int) -> Verdict:
     recipes = list(itertools.islice(
         enumerate_recipes(a, th, depth, publics=publics, dedup=False), limit
     ))
-    truncated = len(recipes) >= limit
     for frame, other in ((a, b), (b, a)):
         groups: dict[Term, list[Term]] = {}
         for r, img in zip(recipes, recipe_images(frame, recipes, th)):
@@ -482,6 +477,4 @@ def _static_equiv(a: Frame, b: Frame, th: Theory, depth: int) -> Verdict:
                 verdict = _check_pair((base, r), a, b, th)
                 if verdict is not None:
                     return verdict
-    if truncated:
-        return UnknownAtDepth(depth)
     return UnknownAtDepth(depth)

@@ -482,12 +482,6 @@ def check_pi(
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
-_FORMULA_TOKEN = {
-    "tt", "ff", "&", "|", "=>", "=", "!=", "<", ">", "[", "]", "(", ")",
-    "tau", "!", "?",
-}
-
-
 class _TooDeep(ValueError):
     pass
 

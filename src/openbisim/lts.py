@@ -19,8 +19,8 @@ from .frames import Frame, deducible
 from .names import NameGen
 from .syntax import (
     Choice, Deadlock, ExtendedProcess, Match, Mismatch, New, Parallel,
-    Process, Receive, Replicate, Send, TauPrefix, free_vars, make_extended,
-    substitute,
+    Process, Receive, Replicate, Send, TauPrefix, free_vars, has_replication,
+    is_pi_fragment, make_extended, substitute,
 )
 from .terms import (
     Entailment, Substitution, Term, Theory, Var, entails_neq, eq_mod,
@@ -417,7 +417,6 @@ class LateTransition:
 
 
 def _check_pi(p: Process) -> None:
-    from .syntax import has_replication, is_pi_fragment
     if not is_pi_fragment(p):
         raise NotPiFragment("process uses theory function symbols")
     if has_replication(p):

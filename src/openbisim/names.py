@@ -34,11 +34,3 @@ class NameGen:
             current = next(self._counter)
             start = max(current, top + 1)
             self._counter = itertools.count(start)
-
-
-def is_generated(name: str) -> bool:
-    return "#" in name
-
-
-def base_of(name: str) -> str:
-    return name.split("#", 1)[0]

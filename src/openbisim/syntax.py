@@ -20,6 +20,7 @@ Extended processes:  new x. new y. { u = M, v = N } | P
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -43,229 +44,91 @@ __all__ = [
 # AST
 
 
+_set = object.__setattr__      # bypasses Process.__setattr__
+
+
 class Process:
-    # every node also carries lazily filled `_fv`/`_bn` slots: its free and
-    # bound names, computed once (see free_vars, bound_names)
+    """A process node: one of the ten node types below, each of which
+    declares only its fields, in order, as `__slots__`.
+
+    Nodes are built positionally and immutable.  Equal fields give equal
+    nodes and equal hashes; the hash is computed once, at construction.
+    Every node also carries lazily filled `_fv`/`_bn` slots: its free and
+    bound names, computed once (see free_vars, bound_names).
+    """
+    __slots__ = ("_hash", "_fv", "_bn")
+
+    def __init_subclass__(cls):
+        # the type's name is hashed with the fields, so that node types
+        # differ; __eq__ compares the fields after the hash (a type without
+        # fields compares its name)
+        cls._tag = cls.__name__
+        cls._fields = operator.attrgetter(*cls.__slots__ or ("_tag",))
+
+    def __init__(self, *fields):
+        names = self.__slots__
+        if len(fields) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} "
+                            f"fields, got {len(fields)}")
+        for name, value in zip(names, fields):
+            _set(self, name, value)
+        _set(self, "_hash", hash((self._tag, *fields)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and other._hash == self._hash
+                and self._fields(other) == self._fields(self))
+
+    def __repr__(self):
+        return pretty(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+
+class Deadlock(Process):
     __slots__ = ()
 
 
-def _mk(cls):
-    return dataclass(frozen=True, repr=False, eq=False)(cls)
-
-
-@_mk
-class Deadlock(Process):
-    __slots__ = ("_hash", "_fv", "_bn")
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash("0"))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return type(other) is Deadlock
-
-    def __repr__(self):
-        return "0"
-
-
-@_mk
 class Send(Process):
-    __slots__ = ("channel", "payload", "continuation", "_hash", "_fv", "_bn")
-    channel: Term
-    payload: Term
-    continuation: Process
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("out", self.channel, self.payload, self.continuation)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (
-            type(other) is Send and other._hash == self._hash
-            and other.channel == self.channel and other.payload == self.payload
-            and other.continuation == self.continuation
-        )
-
-    def __repr__(self):
-        return pretty(self)
+    __slots__ = ("channel", "payload", "continuation")
 
 
-@_mk
 class Receive(Process):
-    __slots__ = ("channel", "binder", "continuation", "_hash", "_fv", "_bn")
-    channel: Term
-    binder: str
-    continuation: Process
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("in", self.channel, self.binder, self.continuation)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (
-            type(other) is Receive and other._hash == self._hash
-            and other.channel == self.channel and other.binder == self.binder
-            and other.continuation == self.continuation
-        )
-
-    def __repr__(self):
-        return pretty(self)
+    __slots__ = ("channel", "binder", "continuation")
 
 
-@_mk
 class Match(Process):
-    __slots__ = ("left", "right", "continuation", "_hash", "_fv", "_bn")
-    left: Term
-    right: Term
-    continuation: Process
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("mat", self.left, self.right, self.continuation)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (
-            type(other) is Match and other._hash == self._hash
-            and other.left == self.left and other.right == self.right
-            and other.continuation == self.continuation
-        )
-
-    def __repr__(self):
-        return pretty(self)
+    __slots__ = ("left", "right", "continuation")
 
 
-@_mk
 class Mismatch(Process):
-    __slots__ = ("left", "right", "continuation", "_hash", "_fv", "_bn")
-    left: Term
-    right: Term
-    continuation: Process
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("mis", self.left, self.right, self.continuation)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (
-            type(other) is Mismatch and other._hash == self._hash
-            and other.left == self.left and other.right == self.right
-            and other.continuation == self.continuation
-        )
-
-    def __repr__(self):
-        return pretty(self)
+    __slots__ = ("left", "right", "continuation")
 
 
-@_mk
 class New(Process):
-    __slots__ = ("binder", "continuation", "_hash", "_fv", "_bn")
-    binder: str
-    continuation: Process
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("new", self.binder, self.continuation)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (
-            type(other) is New and other._hash == self._hash
-            and other.binder == self.binder and other.continuation == self.continuation
-        )
-
-    def __repr__(self):
-        return pretty(self)
+    __slots__ = ("binder", "continuation")
 
 
-@_mk
 class Parallel(Process):
-    __slots__ = ("left", "right", "_hash", "_fv", "_bn")
-    left: Process
-    right: Process
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("par", self.left, self.right)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (
-            type(other) is Parallel and other._hash == self._hash
-            and other.left == self.left and other.right == self.right
-        )
-
-    def __repr__(self):
-        return pretty(self)
+    __slots__ = ("left", "right")
 
 
-@_mk
 class Choice(Process):
-    __slots__ = ("left", "right", "_hash", "_fv", "_bn")
-    left: Process
-    right: Process
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("sum", self.left, self.right)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (
-            type(other) is Choice and other._hash == self._hash
-            and other.left == self.left and other.right == self.right
-        )
-
-    def __repr__(self):
-        return pretty(self)
+    __slots__ = ("left", "right")
 
 
-@_mk
 class Replicate(Process):
-    __slots__ = ("body", "_hash", "_fv", "_bn")
-    body: Process
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("rep", self.body)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return type(other) is Replicate and other.body == self.body
-
-    def __repr__(self):
-        return pretty(self)
+    __slots__ = ("body",)
 
 
-@_mk
 class TauPrefix(Process):
-    __slots__ = ("continuation", "_hash", "_fv", "_bn")
-    continuation: Process
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("tau", self.continuation)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return type(other) is TauPrefix and other.continuation == self.continuation
-
-    def __repr__(self):
-        return pretty(self)
+    __slots__ = ("continuation",)
 
 
 def if_then_else(s: Term, t: Term, then_p: Process, else_p: Process) -> Choice:
@@ -825,9 +688,6 @@ def _render_frame_term(t: Term, local: dict[str, str], shared: dict[str, str],
 # ---------------------------------------------------------------------------
 # Pretty printer
 
-_ATOMIC = (Deadlock, Send, Receive, Match, Mismatch, New, Replicate, TauPrefix)
-
-
 def pretty(p: Process) -> str:
     return _pp(p, 0)
 
@@ -1091,20 +951,21 @@ class _Parser:
         raise ParseError(t.line, t.col, "a process", t.text or "end of input")
 
     # -- extended processes --------------------------------------------------
-    def extended(self) -> ExtendedProcess:
-        privates: list[str] = []
+    def restrictions(self) -> list[str]:
+        """The names of leading 'new x, ..., y.' prefixes."""
+        names: list[str] = []
         while self.peek().kind == "new":
-            save = self.pos
             self.next()
-            names = [self.expect("ident", "a name").text]
+            names.append(self.expect("ident", "a name").text)
             while self.peek().kind == ",":
                 self.next()
                 names.append(self.expect("ident", "a name").text)
             self.expect(".", "'.'")
-            if self.peek().kind != "{" and self.peek().kind != "new":
-                self.pos = save
-                break
-            privates.extend(names)
+        return names
+
+    def frame_and_body(self, privates: list[str]) -> ExtendedProcess:
+        """The '{ u = M, ... }' frame literal and the optional '| P' after
+        the restrictions `privates`."""
         self.expect("{", "'{'")
         bindings: list[tuple[str, Term]] = []
         order: list[str] = []
@@ -1122,45 +983,38 @@ class _Parser:
         body: Process = Deadlock()
         if self.peek().kind == "|":
             self.next()
-            body = self.process()
-        return ExtendedProcess(
+            body = alpha_canonicalize(self.process())
+        ep = ExtendedProcess(
             tuple(privates), Substitution(tuple(bindings)), body, tuple(order)
         )
+        self.end()
+        return ep
+
+    def whole_process(self) -> Process:
+        proc = self.process()
+        self.end()
+        return alpha_canonicalize(proc)
+
+    def end(self) -> None:
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(tok.line, tok.col, "end of input", tok.text)
 
 
 def parse_process(src: str) -> Process:
-    p = _Parser(src)
-    proc = p.process()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(tok.line, tok.col, "end of input", tok.text)
-    return alpha_canonicalize(proc)
+    return _Parser(src).whole_process()
 
 
 def parse(src: str) -> Process | ExtendedProcess:
     """Parse a process or an extended process (frame literal form)."""
-    probe = _Parser(src)
-    is_extended = False
-    # lookahead: optional 'new x,...,y.' prefixes followed by '{'
-    try:
-        while probe.peek().kind == "new":
-            probe.next()
-            probe.expect("ident")
-            while probe.peek().kind == ",":
-                probe.next()
-                probe.expect("ident")
-            probe.expect(".")
-        if probe.peek().kind == "{":
-            is_extended = True
-    except ParseError:
-        is_extended = False
-    if not is_extended:
-        return parse_process(src)
     p = _Parser(src)
-    ep = p.extended()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(tok.line, tok.col, "end of input", tok.text)
-    return ExtendedProcess(
-        ep.privates, ep.frame, alpha_canonicalize(ep.body), ep.frame_order
-    )
+    # an extended process is 'new x, ..., y.' prefixes followed by '{';
+    # any other input is parsed again from its first token as a process
+    try:
+        privates = p.restrictions()
+    except ParseError:
+        privates = None
+    if privates is not None and p.peek().kind == "{":
+        return p.frame_and_body(privates)
+    p.pos = 0
+    return p.whole_process()

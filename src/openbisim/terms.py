@@ -78,10 +78,6 @@ class App(Term):
         return render_term(self)
 
 
-def app(fn: str, *args: Term) -> App:
-    return App(fn, tuple(args))
-
-
 def free_vars(t: Term) -> frozenset[str]:
     cached = t._fv  # type: ignore[union-attr]
     if cached is not None:
@@ -583,13 +579,6 @@ def _inverse(ren: dict[str, str]) -> dict[str, Term]:
 # E-unification by narrowing
 
 NARROW_PREFIX = "?"
-_narrow_re = re.compile(r"^\?\d+$")
-
-
-def is_narrowing_var(name: str) -> bool:
-    return bool(_narrow_re.match(name))
-
-
 @dataclass(frozen=True)
 class UnifierSet:
     """Complete-up-to-bound set of E-unifiers.

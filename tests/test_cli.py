@@ -103,6 +103,7 @@ def test_malformed_validate_files_exit_66(tmp_path):
         "bad process": "witness v1\nmode early-applied\nroot 0 ~~ 0\npair 0 ~~ out(a,\n",
         "bad recipe": "static x vs y( equal-on a at 0 ~~ 0\n",
         "bad side": "capability sideways tau at 0 ~~ 0\n",
+        "bad history": "capability left tau at-pi x^q : tau. 0 ~~ 0\n",
     }
     for what, text in malformed.items():
         f = tmp_path / "bad.txt"
@@ -153,6 +154,32 @@ def test_late_pi_witness_revalidates(tmp_path, pair):
     w.write_text("".join(l + "\n" for l in lines if l != root))
     code, out, _ = run(args + ["--validate", str(w)])
     assert (code, out) == (1, "invalid\n")
+
+
+@pytest.mark.parametrize("left,right", [
+    ("om_deadlock", "om_guarded_tau"), ("om_tau", "om_guarded_tau"),
+    ("om_sum_l", "om_sum_r"), ("om_outin_l", "om_outin_r"),
+])
+def test_late_pi_strategy_leaves_revalidate(tmp_path, left, right):
+    args = ["check-bisim", "--late-pi", corpus_path(f"{left}.pi"),
+            corpus_path(f"{right}.pi"), THY]
+    s = tmp_path / "strategy.txt"
+    code, _, _ = run(args + ["--emit-strategy", str(s)])
+    assert code == 1
+    lines = s.read_text().splitlines()
+    code, out, _ = run(args + ["--validate", str(s)])
+    assert (code, out) == (0, "valid\n")
+    # a leaf whose sides are swapped no longer holds under its history
+    leaves = [i for i, l in enumerate(lines) if " at-pi " in l]
+    assert leaves
+    for i in leaves:
+        swap = {"left": "right", "right": "left"}
+        pad, _, rest = lines[i].partition("capability ")
+        side, _, tail = rest.partition(" ")
+        swapped = lines[:i] + [f"{pad}capability {swap[side]} {tail}"] + lines[i + 1:]
+        s.write_text("".join(l + "\n" for l in swapped))
+        code, out, _ = run(args + ["--validate", str(s)])
+        assert (code, out) == (1, "invalid\n"), lines[i]
 
 
 def test_emit_strategy_revalidates(tmp_path):

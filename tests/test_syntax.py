@@ -2,11 +2,12 @@
 
 import pytest
 
+import openbisim.syntax as syntax
 from openbisim.syntax import (
     Choice, Deadlock, DomainClash, ExtendedProcess, Match, Mismatch, New,
-    Parallel, ParseError, Receive, Send, TauPrefix, alpha_canonicalize,
-    alpha_equiv, compose_parallel, free_vars, guard_pairs, make_extended,
-    parse, parse_process, pretty, promote, substitute,
+    Parallel, ParseError, Receive, Replicate, Send, TauPrefix,
+    alpha_canonicalize, alpha_equiv, compose_parallel, free_vars, guard_pairs,
+    make_extended, parse, parse_process, pretty, promote, substitute,
 )
 from openbisim.terms import App, Substitution, Var
 
@@ -160,3 +161,59 @@ def test_make_extended_applies_frame():
     body = Send(Var("c"), Var("u"), Deadlock())
     ep = make_extended(("m",), Substitution.of({"u": Var("m")}), body)
     assert ep.body.payload == Var("m")
+
+
+# One instance of every node type, and for each field a second value.
+_X, _Y = Var("x"), Var("y")
+NODES = [
+    (Deadlock, ()),
+    (Send, ((_X, _Y), (_Y, _X), (Deadlock(), TauPrefix(Deadlock())))),
+    (Receive, ((_X, _Y), ("z", "w"), (Deadlock(), TauPrefix(Deadlock())))),
+    (Match, ((_X, _Y), (_Y, _X), (Deadlock(), TauPrefix(Deadlock())))),
+    (Mismatch, ((_X, _Y), (_Y, _X), (Deadlock(), TauPrefix(Deadlock())))),
+    (New, (("z", "w"), (Deadlock(), TauPrefix(Deadlock())))),
+    (Parallel, ((Deadlock(), TauPrefix(Deadlock())), (TauPrefix(Deadlock()), Deadlock()))),
+    (Choice, ((Deadlock(), TauPrefix(Deadlock())), (TauPrefix(Deadlock()), Deadlock()))),
+    (Replicate, ((TauPrefix(Deadlock()), Deadlock()),)),
+    (TauPrefix, ((Deadlock(), TauPrefix(Deadlock())),)),
+]
+
+
+@pytest.mark.parametrize("cls,fields", NODES, ids=[c.__name__ for c, _ in NODES])
+def test_node_protocol(cls, fields):
+    values = [first for first, _ in fields]
+    p, q = cls(*values), cls(*values)
+    assert p == q and hash(p) == hash(q)
+    for i, (_, other) in enumerate(fields):
+        changed = cls(*values[:i], other, *values[i + 1:])
+        assert changed != p and p != changed
+    twin = {Match: Mismatch, Mismatch: Match}.get(cls)
+    if twin is not None:
+        assert twin(*values) != p
+    with pytest.raises(AttributeError):
+        p.continuation = Deadlock()
+    with pytest.raises(AttributeError):
+        p._hash = 0
+    with pytest.raises(TypeError):
+        cls(*values, Deadlock())
+    if values:
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+    assert repr(p) == pretty(p)
+
+
+@pytest.mark.parametrize("src", [
+    "new k. out(a, k). 0",
+    "new k, r. new s. {x = pair(k, r)} | out(a, s). 0",
+])
+def test_parse_tokenizes_once(monkeypatch, src):
+    calls = []
+    tokenize = syntax._tokenize
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(syntax, "_tokenize", counting)
+    parse(src)
+    assert calls == [src]
