@@ -124,17 +124,21 @@ def parse_witness(text: str, cfg: CheckConfig) -> RelationWitness:
     return RelationWitness(tuple(pairs), root, second[len("mode "):], cfg)
 
 
-def _parse_pair(text: str, n: int, column: int, pi: bool = False):
+def _extended(text: str) -> ExtendedProcess:
+    return promote(parse(text))
+
+
+def _parse_pair(text: str, n: int, column: int, read=_extended):
     """The two processes of `P ~~ Q`, which starts at `column` of line `n`
-    of a witness or strategy file; errors point into that file.  They are
-    extended processes, or with `pi` plain processes."""
+    of a witness or strategy file, each read by `read`; errors point into
+    that file."""
     sides = text.split(" ~~ ")
     if len(sides) != 2:
         raise ParseError(n, column, "'P ~~ Q'", text)
     out = []
     for side in sides:
         try:
-            out.append(parse_process(side) if pi else promote(parse(side)))
+            out.append(read(side))
         except ParseError as exc:
             raise ParseError(n, column + exc.column - 1, exc.expected, exc.found) from None
         column += len(side) + len(" ~~ ")
@@ -212,7 +216,7 @@ def validate_strategy_text(text: str, th: Theory, cfg: CheckConfig) -> bool:
                 if not colon:
                     raise ParseError(n, start, "'H : P ~~ Q'", at)
                 history = _parse_history(h_txt, n, start)
-                a, b = _parse_pair(pair, n, start + len(h_txt) + len(" : "), pi=True)
+                a, b = _parse_pair(pair, n, start + len(h_txt) + len(" : "), parse_process)
             mover, other = (a, b) if side == 0 else (b, a)
             checked += 1
             if (not _has_label(mover, label, th, cfg, history)
@@ -224,20 +228,18 @@ def validate_strategy_text(text: str, th: Theory, cfg: CheckConfig) -> bool:
 def _parse_history(text: str, n: int, column: int) -> History:
     """A late-pi history as History.rendered() prints it: `e`, or events
     `M^i` (an input) and `x^o` (an extruded name) joined by '.'."""
-    events = []
-    for event in ([] if text == "e" else text.split(".")):
-        term_txt, _, kind = event.rpartition("^")
-        try:
-            term = parse_term(term_txt)
-        except TheoryError:
-            term = None
-        if kind not in ("i", "o") or term is None or (kind == "o" and not isinstance(term, Var)):
-            raise ParseError(n, column, "a history 'e' or 'M^i.x^o...'", text)
-        events.append((kind, term))
     try:
-        return History(tuple(events))
-    except ValueError:
-        raise ParseError(n, column, "a history of distinct extruded names", text) from None
+        events = []
+        for event in ([] if text == "e" else text.split(".")):
+            term_txt, _, kind = event.rpartition("^")
+            term = parse_term(term_txt)
+            if kind not in ("i", "o") or (kind == "o" and not isinstance(term, Var)):
+                raise ValueError(event)
+            events.append((kind, term))
+        return History(tuple(events))   # raises ValueError on a repeated x^o
+    except (TheoryError, ValueError):
+        raise ParseError(n, column, "a history 'e' or 'M^i.x^o...' with distinct x",
+                         text) from None
 
 
 def _has_label(p, label: str, th: Theory, cfg: CheckConfig,
@@ -249,8 +251,11 @@ def _has_label(p, label: str, th: Theory, cfg: CheckConfig,
         formula = parse_formula(f"<{label}>tt")
         if history is None:
             return check(p, formula, th, cfg) is Sat.SAT
+    except (ValueError, TheoryError, UnhousedVariable):
+        return False
+    try:
         return check_pi(p, formula, th, cfg, history) is Sat.SAT
-    except (ValueError, TheoryError, UnhousedVariable, NotPiFragment):
+    except (TheoryError, NotPiFragment):
         return False
 
 

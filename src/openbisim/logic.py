@@ -30,8 +30,9 @@ from .bisim import (
 from .lts import History, early_transitions, late_transitions
 from .names import NameGen
 from .syntax import (
-    ExtendedProcess, Process, canonical_key, free_vars as proc_free_vars,
-    guard_pairs, make_extended, promote, substitute,
+    ExtendedProcess, Process, bound_names, canonical_key,
+    free_vars as proc_free_vars, guard_pairs, make_extended, promote,
+    substitute,
 )
 from .terms import (
     MAX_NESTING, Substitution, Term, Theory, Var, eq_mod, free_vars, normalize,
@@ -473,10 +474,13 @@ def check_pi(
     p: Process, f: Formula, th: Theory, cfg: CheckConfig = CheckConfig(),
     history: Optional[History] = None,
 ) -> Sat:
-    """Three-valued satisfaction for the pi-fragment logic (late labels)."""
+    """Three-valued satisfaction for the pi-fragment logic (late labels).
+    The names the checker mints avoid every name of p, f and the history."""
     fv = sorted(proc_free_vars(p) | {v for v in formula_vars(f) if not v.startswith("?")})
     h = history if history is not None else History.inputs_for(*fv)
-    return _OMChecker(th, cfg).eval((h, p), f)
+    checker = _OMChecker(th, cfg)
+    checker.gen.reserve(h.names() | proc_free_vars(p) | bound_names(p) | formula_vars(f))
+    return checker.eval((h, p), f)
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,12 @@ __all__ = [
 # AST
 
 
-_set = object.__setattr__      # bypasses Process.__setattr__
-
-
 class Process:
     """A process node: one of the ten node types below, each of which
-    declares only its fields, in order, as `__slots__`.
+    declares only its fields, in order, as `__slots__`.  The fields of type
+    Term are the channel and payload of Send, the channel of Receive and the
+    left and right of Match and Mismatch; the binder of Receive and New is a
+    str; every other field is a Process.
 
     Nodes are built positionally and immutable.  Equal fields give equal
     nodes and equal hashes; the hash is computed once, at construction.
@@ -71,8 +71,8 @@ class Process:
             raise TypeError(f"{type(self).__name__} takes {len(names)} "
                             f"fields, got {len(fields)}")
         for name, value in zip(names, fields):
-            _set(self, name, value)
-        _set(self, "_hash", hash((self._tag, *fields)))
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash((self._tag, *fields)))
 
     def __hash__(self):
         return self._hash
@@ -294,8 +294,6 @@ def alpha_canonicalize(p: Process) -> Process:
             ren2 = dict(ren)
             if fresh != binder or binder in ren:
                 ren2[binder] = fresh
-            elif binder in ren2:
-                del ren2[binder]
             if isinstance(q, Receive):
                 return Receive(sub(q.channel), fresh, go(q.continuation, ren2))
             return New(fresh, go(q.continuation, ren2))
@@ -391,9 +389,7 @@ def guard_pairs(p: Process) -> Iterator[tuple[str, Term, Term]]:
     if isinstance(p, (Match, Mismatch)):
         yield ("=" if isinstance(p, Match) else "!=", p.left, p.right)
         yield from guard_pairs(p.continuation)
-    elif isinstance(p, (Send, Receive, TauPrefix)):
-        yield from guard_pairs(p.continuation)
-    elif isinstance(p, New):
+    elif isinstance(p, (Send, Receive, TauPrefix, New)):
         yield from guard_pairs(p.continuation)
     elif isinstance(p, (Parallel, Choice)):
         yield from guard_pairs(p.left)
@@ -428,14 +424,12 @@ def is_pi_fragment(p: Process) -> bool:
     if isinstance(p, (Match, Mismatch)):
         return (isinstance(p.left, Var) and isinstance(p.right, Var)
                 and is_pi_fragment(p.continuation))
-    if isinstance(p, New):
+    if isinstance(p, (New, TauPrefix)):
         return is_pi_fragment(p.continuation)
     if isinstance(p, (Parallel, Choice)):
         return is_pi_fragment(p.left) and is_pi_fragment(p.right)
     if isinstance(p, Replicate):
         return is_pi_fragment(p.body)
-    if isinstance(p, TauPrefix):
-        return is_pi_fragment(p.continuation)
     raise TypeError(p)
 
 
@@ -460,19 +454,13 @@ def unfold_replication(p: Process, copies: int) -> Process:
             for _ in range(copies - 1):
                 out = Parallel(out, body)
             return out
-        if isinstance(q, Send):
-            return Send(q.channel, q.payload, go(q.continuation))
-        if isinstance(q, Receive):
-            return Receive(q.channel, q.binder, go(q.continuation))
-        if isinstance(q, (Match, Mismatch)):
-            return type(q)(q.left, q.right, go(q.continuation))
-        if isinstance(q, New):
-            return New(q.binder, go(q.continuation))
         if isinstance(q, (Parallel, Choice)):
             return type(q)(go(q.left), go(q.right))
-        if isinstance(q, TauPrefix):
-            return TauPrefix(go(q.continuation))
-        return q
+        if isinstance(q, Deadlock):
+            return q
+        # a prefix: the same fields with the continuation, the last, unfolded
+        *head, cont = [getattr(q, f) for f in q.__slots__]
+        return type(q)(*head, go(cont))
 
     return alpha_canonicalize(go(p))
 
@@ -965,7 +953,7 @@ class _Parser:
 
     def frame_and_body(self, privates: list[str]) -> ExtendedProcess:
         """The '{ u = M, ... }' frame literal and the optional '| P' after
-        the restrictions `privates`."""
+        the restrictions `privates`; the caller checks the end of input."""
         self.expect("{", "'{'")
         bindings: list[tuple[str, Term]] = []
         order: list[str] = []
@@ -984,11 +972,9 @@ class _Parser:
         if self.peek().kind == "|":
             self.next()
             body = alpha_canonicalize(self.process())
-        ep = ExtendedProcess(
+        return ExtendedProcess(
             tuple(privates), Substitution(tuple(bindings)), body, tuple(order)
         )
-        self.end()
-        return ep
 
     def whole_process(self) -> Process:
         proc = self.process()
@@ -1015,6 +1001,8 @@ def parse(src: str) -> Process | ExtendedProcess:
     except ParseError:
         privates = None
     if privates is not None and p.peek().kind == "{":
-        return p.frame_and_body(privates)
+        ep = p.frame_and_body(privates)   # a bad frame is reported before trailing input
+        p.end()
+        return ep
     p.pos = 0
     return p.whole_process()

@@ -161,8 +161,32 @@ def test_late_pi_witness_revalidates(tmp_path, pair):
     ("om_sum_l", "om_sum_r"), ("om_outin_l", "om_outin_r"),
 ])
 def test_late_pi_strategy_leaves_revalidate(tmp_path, left, right):
-    args = ["check-bisim", "--late-pi", corpus_path(f"{left}.pi"),
-            corpus_path(f"{right}.pi"), THY]
+    _emit_validate_swap(tmp_path, ["check-bisim", "--late-pi", corpus_path(f"{left}.pi"),
+                                   corpus_path(f"{right}.pi"), THY])
+
+
+def test_late_pi_bound_output_leaf_after_extrusion(tmp_path):
+    left, right = tmp_path / "l.pi", tmp_path / "r.pi"
+    left.write_text("new z. out(x, z). new z. out(x, z). 0\n")
+    right.write_text("new z. out(x, z). 0\n")
+    args = ["check-bisim", "--late-pi", str(left), str(right), THY]
+    _emit_validate_swap(tmp_path, args)
+    # the checker's fresh names avoid the generated names of the history
+    s = tmp_path / "leaf.txt"
+    for side, pair, verdict in [
+        ("left", "new z. out(x, z). 0 ~~ 0", (0, "valid\n")),
+        ("right", "0 ~~ new z. out(x, z). 0", (0, "valid\n")),
+        ("right", "new z. out(x, z). 0 ~~ 0", (1, "invalid\n")),
+        ("left", "new a. out(x, a). 0 + new b. out(y, b). 0 ~~ new z. out(x, z). 0",
+         (1, "invalid\n")),
+    ]:
+        s.write_text(f"capability {side} x!(z#7) at-pi x^i.y^i.z#2^o : {pair}\n")
+        assert run(args + ["--validate", str(s)])[:2] == verdict, (side, pair)
+
+
+def _emit_validate_swap(tmp_path, args):
+    """The strategy check-bisim emits for args validates, and no longer
+    does once the sides of any one of its late-pi leaves are swapped."""
     s = tmp_path / "strategy.txt"
     code, _, _ = run(args + ["--emit-strategy", str(s)])
     assert code == 1
