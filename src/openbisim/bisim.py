@@ -54,7 +54,7 @@ from .terms import (
 __all__ = [
     "CheckConfig", "Verdict", "Bisimilar", "DistinguishedVerdict", "Unknown",
     "WorldMove", "Strategy", "StaticLeaf", "CapabilityLeaf", "RefineNode",
-    "MoveNode", "RelationWitness", "quasi_open_check", "open_bisim_pi_check",
+    "MoveNode", "RelationWitness", "early_root", "quasi_open_check", "open_bisim_pi_check",
     "validate_witness", "representative_worlds", "pi_worlds",
 ]
 
@@ -1084,14 +1084,14 @@ class _EarlyGame(_Game):
     _schema_match = _chan_match
 
 
-def quasi_open_check(
+def early_root(
     p: Process | ExtendedProcess,
     q: Process | ExtendedProcess,
     th: Theory,
     cfg: CheckConfig = CheckConfig(),
-) -> Verdict:
-    """Decide quasi-open bisimilarity of two (extended) processes."""
-    gen = NameGen()
+) -> tuple[ExtendedProcess, ExtendedProcess]:
+    """The root pair of the early game of p and q: both promoted, their
+    replications unfolded cfg.unfold times, and normalized."""
     a, b = promote(p), promote(q)
     if has_replication(a.body) or has_replication(b.body):
         if cfg.unfold <= 0:
@@ -1106,7 +1106,18 @@ def quasi_open_check(
     b = make_extended(b.privates, b.frame, b.body, th, b.frame_order)
     if a.frame.domain != b.frame.domain:
         raise ValueError("compared processes must export the same frame domain")
+    return a, b
 
+
+def quasi_open_check(
+    p: Process | ExtendedProcess,
+    q: Process | ExtendedProcess,
+    th: Theory,
+    cfg: CheckConfig = CheckConfig(),
+) -> Verdict:
+    """Decide quasi-open bisimilarity of two (extended) processes."""
+    gen = NameGen()
+    a, b = early_root(p, q, th, cfg)
     gen.reserve(_all_names(a) | _all_names(b))
     game = _EarlyGame(th, cfg, gen)
     root = game.node_for(a, b, 0)

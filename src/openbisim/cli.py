@@ -1,10 +1,21 @@
 """Command-line front end.
 
 Subcommands: check-bisim, check-static, model-check, distinguish, trace,
-fmt, corpus.  Exit codes: verdicts use 0/1/2 (yes/no/unknown), usage errors
-exit 64, unreadable or unparsable inputs (including inputs nested deeper
-than the parsers' limit) 66, internal self-check failures and recursion
-too deep for the stack 70.
+fmt, corpus.  Every file is read by `_read`, and `main` maps each exception
+a command may end in to its exit code in one table, `_FAILURES`:
+
+  * 0/1/2: the verdict (yes/no/unknown);
+  * 64, usage: a negative bound, replication without an unfolding bound,
+    `--late-pi` outside the pi fragment, processes or frames of different
+    frame domains;
+  * 66, bad input: a file that cannot be read, is not UTF-8 or does not
+    parse (nested deeper than the readers' limit included), a bad theory
+    (an undeclared symbol, rewriting that does not terminate), a formula
+    that names a private name or a late-pi label in the early mode;
+  * 70: an internal self-check failure, recursion too deep for the stack.
+
+`check-bisim --validate` answers `invalid` (1) for a witness whose root is
+not the pair checked or whose mode is not the one asked for.
 """
 
 from __future__ import annotations
@@ -20,50 +31,59 @@ from typing import Optional
 from . import corpus as corpus_pkg
 from .bisim import (
     Bisimilar, CapabilityLeaf, CheckConfig, DistinguishedVerdict, MoveNode,
-    RefineNode, RelationWitness, StaticLeaf, Unknown, open_bisim_pi_check,
-    quasi_open_check, validate_witness,
+    RefineNode, RelationWitness, StaticLeaf, Unknown, early_root,
+    open_bisim_pi_check, quasi_open_check, validate_witness,
 )
 from .frames import Distinguished, Equivalent, Frame, static_equiv
 from .lts import History, NotPiFragment, ReplicationUnbounded, early_transitions
 from .logic import (
-    NotDistinguished, Sat, SelfCheckFailed, UnhousedVariable, check, check_pi,
-    distinguish, parse_formula, pretty_formula,
+    Formula, NotDistinguished, Sat, SelfCheckFailed, UnhousedVariable, check,
+    check_pi, distinguish, parse_formula, pretty_formula,
 )
 from .names import NameGen
 from .syntax import (
-    ExtendedProcess, ParseError, make_extended, parse, parse_process, pretty,
-    pretty_extended, promote,
+    ExtendedProcess, canonical_key, make_extended, parse, parse_process,
+    pretty, pretty_extended, promote,
 )
 from .terms import (
-    TheoryError, Theory, Var, eq_mod, load_theory, parse_term, render_term,
+    ParseError, Term, TheoryError, Theory, Var, eq_mod, load_theory, parse_term,
+    parse_theory, render_term,
 )
 
 EX_OK, EX_NO, EX_UNKNOWN = 0, 1, 2
 EX_USAGE, EX_NOINPUT, EX_SOFTWARE = 64, 66, 70
 
 
-def _load_theory(path: str) -> Theory:
-    try:
-        return load_theory(path)
-    except OSError as exc:
-        _die(EX_NOINPUT, f"cannot read theory: {exc}")
-    except TheoryError as exc:
-        _die(EX_NOINPUT, f"bad theory file {path}: {exc}")
+class InputError(Exception):
+    """A file that cannot be read, is not UTF-8 text or does not parse."""
 
 
-def _load_process(path: str):
+def _read(path: str, parse):
+    """What `parse` reads from the text of the file at `path`.  Errors of
+    the file, and parse and theory errors of its text, are InputErrors
+    naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
-    except OSError as exc:
-        _die(EX_NOINPUT, f"cannot read process: {exc}")
-    except ParseError as exc:
-        _die(EX_NOINPUT, f"{path}: {exc}")
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    try:
+        return parse(text)
+    except (ParseError, TheoryError) as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
-def _die(code: int, message: str):
-    print(message, file=sys.stderr)
-    sys.exit(code)
+def _theory(args) -> Theory:
+    """The theory file of `args`, under its --unify-bound if one is given."""
+    name = args.theory.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    th = _read(args.theory, lambda text: parse_theory(text, name=name))
+    if args.unify_bound is None:
+        return th
+    return Theory(
+        name=th.name, signature=dict(th.signature), rules=th.rules,
+        unification_bound=args.unify_bound, rewrite_ceiling=th.rewrite_ceiling,
+        saturation_complete=th.saturation_complete,
+    )
 
 
 def _config(args) -> CheckConfig:
@@ -71,18 +91,7 @@ def _config(args) -> CheckConfig:
         max_depth=args.depth,
         recipe_depth=args.recipe_depth,
         unfold=getattr(args, "unfold", 0),
-        mode="late-pi" if getattr(args, "late_pi", False) else "early-applied",
-    )
-
-
-def _with_bound(th: Theory, args) -> Theory:
-    bound = getattr(args, "unify_bound", None)
-    if bound is None:
-        return th
-    return Theory(
-        name=th.name, signature=dict(th.signature), rules=th.rules,
-        unification_bound=bound, rewrite_ceiling=th.rewrite_ceiling,
-        saturation_complete=th.saturation_complete,
+        mode="late-pi" if args.late_pi else "early-applied",
     )
 
 
@@ -128,21 +137,23 @@ def _extended(text: str) -> ExtendedProcess:
     return promote(parse(text))
 
 
+def _parse_at(read, text: str, n: int, column: int):
+    """`read(text)`, for text that starts at `column` of line `n` of a
+    witness or strategy file; errors point into that file."""
+    try:
+        return read(text)
+    except ParseError as exc:
+        raise exc.at(n, column) from None
+
+
 def _parse_pair(text: str, n: int, column: int, read=_extended):
-    """The two processes of `P ~~ Q`, which starts at `column` of line `n`
-    of a witness or strategy file, each read by `read`; errors point into
-    that file."""
+    """The two processes of `P ~~ Q`, which starts at `column` of line `n`,
+    each read by `read`."""
     sides = text.split(" ~~ ")
     if len(sides) != 2:
         raise ParseError(n, column, "'P ~~ Q'", text)
-    out = []
-    for side in sides:
-        try:
-            out.append(read(side))
-        except ParseError as exc:
-            raise ParseError(n, column + exc.column - 1, exc.expected, exc.found) from None
-        column += len(side) + len(" ~~ ")
-    return out[0], out[1]
+    left = _parse_at(read, sides[0], n, column)
+    return left, _parse_at(read, sides[1], n, column + len(sides[0]) + len(" ~~ "))
 
 
 def render_strategy(s, indent: int = 0) -> str:
@@ -189,10 +200,9 @@ def validate_strategy_text(text: str, th: Theory, cfg: CheckConfig) -> bool:
             l_txt, _, r_txt = recipes.partition(" vs ")
             if equal_on not in ("a", "b") or not r_txt:
                 raise ParseError(n, column, "'static R vs R equal-on a|b at P ~~ Q'", line)
-            try:
-                l, r = parse_term(l_txt), parse_term(r_txt)
-            except TheoryError:
-                raise ParseError(n, column, "'R vs R' of two recipes", recipes) from None
+            start = column + len("static ")
+            l = _parse_at(parse_term, l_txt, n, start)
+            r = _parse_at(parse_term, r_txt, n, start + len(l_txt) + len(" vs "))
             a, b = _parse_pair(at, n, column + len(head) + len(" at "))
             ea = eq_mod(a.frame(l), a.frame(r), th)
             eb = eq_mod(b.frame(l), b.frame(r), th)
@@ -206,7 +216,8 @@ def validate_strategy_text(text: str, th: Theory, cfg: CheckConfig) -> bool:
             if len(bits) < 3 or bits[1] not in ("left", "right"):
                 raise ParseError(n, column, f"'capability left|right LABEL{sep}P ~~ Q'", line)
             side = 0 if bits[1] == "left" else 1
-            label = bits[2]
+            label = _parse_at(parse_formula, f"<{bits[2]}>tt", n,
+                              column + len(head) - len(bits[2]) - 1)
             start = column + len(head) + len(sep)
             history = None
             if sep == " at ":
@@ -227,36 +238,47 @@ def validate_strategy_text(text: str, th: Theory, cfg: CheckConfig) -> bool:
 
 def _parse_history(text: str, n: int, column: int) -> History:
     """A late-pi history as History.rendered() prints it: `e`, or events
-    `M^i` (an input) and `x^o` (an extruded name) joined by '.'."""
-    try:
-        events = []
-        for event in ([] if text == "e" else text.split(".")):
-            term_txt, _, kind = event.rpartition("^")
-            term = parse_term(term_txt)
-            if kind not in ("i", "o") or (kind == "o" and not isinstance(term, Var)):
-                raise ValueError(event)
-            events.append((kind, term))
-        return History(tuple(events))   # raises ValueError on a repeated x^o
-    except (TheoryError, ValueError):
-        raise ParseError(n, column, "a history 'e' or 'M^i.x^o...' with distinct x",
-                         text) from None
+    `M^i` (an input) and `x^o` (an extruded name, each x once) joined by
+    '.', starting at `column` of line `n`."""
+    events: list[tuple[str, Term]] = []
+    for event in ([] if text == "e" else text.split(".")):
+        term_txt, _, kind = event.rpartition("^")
+        term = _parse_at(parse_term, term_txt, n, column)
+        if kind not in ("i", "o") or (kind == "o" and (
+                not isinstance(term, Var) or ("o", term) in events)):
+            raise ParseError(n, column, "an event 'M^i', or 'x^o' with a new x", event)
+        events.append((kind, term))
+        column += len(event) + len(".")
+    return History(tuple(events))
 
 
-def _has_label(p, label: str, th: Theory, cfg: CheckConfig,
+def _has_label(p, label: Formula, th: Theory, cfg: CheckConfig,
                history: Optional[History] = None) -> bool:
-    """Whether p has a transition with the label as a strategy prints it:
-    whether the model checker finds <label>tt satisfied, with a history
-    by the late-pi checker."""
+    """Whether p satisfies `label`, a formula <L>tt: whether p has a
+    transition labelled L, by the late-pi checker when a history is given.
+    p has no label that names a private name of p (UnhousedVariable), or
+    none under a history when p is outside the pi fragment (NotPiFragment)."""
     try:
-        formula = parse_formula(f"<{label}>tt")
         if history is None:
-            return check(p, formula, th, cfg) is Sat.SAT
-    except (ValueError, TheoryError, UnhousedVariable):
+            return check(p, label, th, cfg) is Sat.SAT
+        return check_pi(p, label, th, cfg, history) is Sat.SAT
+    except (UnhousedVariable, NotPiFragment):
         return False
-    try:
-        return check_pi(p, formula, th, cfg, history) is Sat.SAT
-    except (TheoryError, NotPiFragment):
-        return False
+
+
+def _validate(text: str, left, right, th: Theory, cfg: CheckConfig) -> bool:
+    """Whether a witness or strategy file holds for the pair (left, right).
+    A witness must also be of the mode checked, with (left, right) as its
+    root up to canonical_key, as the check builds the root."""
+    if not text.startswith("witness"):
+        return validate_strategy_text(text, th, cfg)
+    w = parse_witness(text, cfg)
+    if cfg.mode == "late-pi":
+        root = promote(left), promote(right)
+    else:
+        root = early_root(left, right, th, cfg)
+    return (w.mode == cfg.mode and canonical_key(*w.root) == canonical_key(*root)
+            and validate_witness(w, th, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -264,37 +286,19 @@ def _has_label(p, label: str, th: Theory, cfg: CheckConfig,
 
 
 def cmd_check_bisim(args) -> int:
-    th = _with_bound(_load_theory(args.theory), args)
+    th = _theory(args)
     cfg = _config(args)
-    left, right = _load_process(args.left), _load_process(args.right)
+    left, right = _read(args.left, parse), _read(args.right, parse)
 
     if args.validate:
-        try:
-            with open(args.validate, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            _die(EX_NOINPUT, str(exc))
-        try:
-            if text.startswith("witness"):
-                okay = validate_witness(parse_witness(text, cfg), th, cfg)
-            else:
-                okay = validate_strategy_text(text, th, cfg)
-        except ParseError as exc:
-            _die(EX_NOINPUT, f"{args.validate}: {exc}")
+        okay = _read(args.validate, lambda text: _validate(text, left, right, th, cfg))
         print("valid" if okay else "invalid")
         return EX_OK if okay else EX_NO
 
-    try:
-        if cfg.mode == "late-pi":
-            verdict = open_bisim_pi_check(left, right, th, cfg)
-        else:
-            verdict = quasi_open_check(left, right, th, cfg)
-    except ReplicationUnbounded as exc:
-        _die(EX_USAGE, f"{exc} (use --unfold)")
-    except NotPiFragment as exc:
-        _die(EX_USAGE, str(exc))
-    except ValueError as exc:
-        _die(EX_USAGE, str(exc))
+    if cfg.mode == "late-pi":
+        verdict = open_bisim_pi_check(left, right, th, cfg)
+    else:
+        verdict = quasi_open_check(left, right, th, cfg)
 
     if isinstance(verdict, Bisimilar):
         msg = {"verdict": "bisimilar", "witness-size": len(verdict.witness.pairs)}
@@ -317,14 +321,10 @@ def cmd_check_bisim(args) -> int:
 
 
 def cmd_check_static(args) -> int:
-    th = _with_bound(_load_theory(args.theory), args)
-    a, b = _load_process(args.left), _load_process(args.right)
-    fa = _to_frame(a)
-    fb = _to_frame(b)
-    try:
-        verdict = static_equiv(fa, fb, th, depth=args.recipe_depth)
-    except ValueError as exc:
-        _die(EX_USAGE, str(exc))
+    th = _theory(args)
+    fa = _to_frame(_read(args.left, parse))
+    fb = _to_frame(_read(args.right, parse))
+    verdict = static_equiv(fa, fb, th, depth=args.recipe_depth)
     if isinstance(verdict, Equivalent):
         _emit(args, {"verdict": "equivalent"}, "statically equivalent")
         return EX_OK
@@ -355,16 +355,10 @@ def _to_frame(p) -> Frame:
 
 
 def cmd_model_check(args) -> int:
-    th = _with_bound(_load_theory(args.theory), args)
+    th = _theory(args)
     cfg = _config(args)
-    proc = _load_process(args.process)
-    try:
-        with open(args.formula, "r", encoding="utf-8") as fh:
-            formula = parse_formula(fh.read().strip())
-    except OSError as exc:
-        _die(EX_NOINPUT, str(exc))
-    except (ValueError, TheoryError) as exc:   # TheoryError: a bad term
-        _die(EX_NOINPUT, f"{args.formula}: {exc}")
+    proc = _read(args.process, parse)
+    formula = _read(args.formula, parse_formula)
     if cfg.mode == "late-pi":
         result = check_pi(proc, formula, th, cfg)
     else:
@@ -374,13 +368,10 @@ def cmd_model_check(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    th = _with_bound(_load_theory(args.theory), args)
+    th = _theory(args)
     cfg = _config(args)
-    left, right = _load_process(args.left), _load_process(args.right)
-    try:
-        result = distinguish(left, right, th, cfg)
-    except SelfCheckFailed as exc:
-        _die(EX_SOFTWARE, f"internal self-check failure: {exc}")
+    left, right = _read(args.left, parse), _read(args.right, parse)
+    result = distinguish(left, right, th, cfg)
     if isinstance(result, NotDistinguished):
         _emit(args, {"verdict": "not-distinguished"}, "not distinguished")
         return EX_NO
@@ -397,8 +388,8 @@ def cmd_distinguish(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    th = _with_bound(_load_theory(args.theory), args)
-    proc = _load_process(args.process)
+    th = _theory(args)
+    proc = _read(args.process, parse)
     gen = NameGen()
     ep = promote(proc)
     ep = make_extended(ep.privates, ep.frame, ep.body, th, ep.frame_order)
@@ -421,7 +412,7 @@ def cmd_trace(args) -> int:
             walk(t.target, depth + 1)
         for schema in ts.inputs:
             payload = gen.fresh("z")
-            target = schema.instantiate(parse_term(payload))
+            target = schema.instantiate(Var(payload))
             lines.append(
                 f"{pad}  --{render_term(schema.channel)}?{payload}--> {pretty_extended(target)}"
             )
@@ -433,7 +424,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    p = _load_process(args.process)
+    p = _read(args.process, parse)
     if isinstance(p, ExtendedProcess):
         print(pretty_extended(p))
     else:
@@ -512,11 +503,22 @@ def _emit(args, payload: dict, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, recipe_depth_default=2):
-    sub.add_argument("--depth", type=int, default=64, help="max game depth")
-    sub.add_argument("--recipe-depth", type=int, default=recipe_depth_default,
+def _bound(text: str) -> int:
+    """An argparse type: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
+def _add_common(sub, depth=64, recipe_depth=2, unfold=False):
+    sub.add_argument("--depth", type=_bound, default=depth, help="max game depth")
+    sub.add_argument("--recipe-depth", type=_bound, default=recipe_depth,
                      help="recipe enumeration depth")
-    sub.add_argument("--unify-bound", type=int, default=None,
+    if unfold:
+        sub.add_argument("--unfold", type=_bound, default=0,
+                         help="replication unfolding bound")
+    sub.add_argument("--unify-bound", type=_bound, default=None,
                      help="override the theory's narrowing depth")
     sub.add_argument("--json", action="store_true", help="structured output")
 
@@ -535,20 +537,18 @@ def build_parser() -> argparse.ArgumentParser:
     cb.add_argument("theory")
     cb.add_argument("--late-pi", action="store_true",
                     help="history-indexed open bisimilarity (pi fragment)")
-    cb.add_argument("--unfold", type=int, default=0,
-                    help="replication unfolding bound")
     cb.add_argument("--emit-witness", metavar="PATH")
     cb.add_argument("--emit-strategy", metavar="PATH")
     cb.add_argument("--validate", metavar="PATH",
                     help="re-validate an emitted witness/strategy file")
-    _add_common(cb)
+    _add_common(cb, unfold=True)
     cb.set_defaults(fn=cmd_check_bisim)
 
     cs = sp.add_parser("check-static", help="decide static equivalence of frames")
     cs.add_argument("left")
     cs.add_argument("right")
     cs.add_argument("theory")
-    _add_common(cs, recipe_depth_default=3)
+    _add_common(cs, recipe_depth=3)
     cs.set_defaults(fn=cmd_check_static)
 
     mc = sp.add_parser("model-check", help="check a modal formula")
@@ -570,11 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sp.add_parser("trace", help="print the transition tree")
     tr.add_argument("process")
     tr.add_argument("theory")
-    tr.add_argument("--depth", type=int, default=3)
-    tr.add_argument("--unfold", type=int, default=0)
-    tr.add_argument("--recipe-depth", type=int, default=2)
-    tr.add_argument("--unify-bound", type=int, default=None)
-    tr.add_argument("--json", action="store_true")
+    _add_common(tr, depth=3, unfold=True)
     tr.set_defaults(fn=cmd_trace)
 
     fm = sp.add_parser("fmt", help="parse and pretty-print a process file")
@@ -589,17 +585,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# The exit code and stderr message of each exception a command may end in;
+# the first class that matches wins.  Any other exception (BrokenPipeError
+# among them) ends in Python's own traceback.
+_FAILURES = {
+    InputError: (EX_NOINPUT, "{}"),
+    TheoryError: (EX_NOINPUT, "bad theory: {}"),        # UnknownSymbol, NonTermination
+    UnhousedVariable: (EX_NOINPUT, "{}"),
+    ReplicationUnbounded: (EX_USAGE, "{} (use --unfold)"),
+    NotPiFragment: (EX_USAGE, "{}"),
+    ValueError: (EX_USAGE, "{}"),                       # frame domains that differ
+    SelfCheckFailed: (EX_SOFTWARE, "internal self-check failure: {}"),
+    RecursionError: (EX_SOFTWARE, "internal error: recursion too deep"),
+}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     sys.setrecursionlimit(100_000)
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except RecursionError:
-        _die(EX_SOFTWARE, "internal error: recursion too deep")
+    except tuple(_FAILURES) as exc:
+        code, message = next(v for cls, v in _FAILURES.items() if isinstance(exc, cls))
+        print(message.format(exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -35,8 +35,8 @@ from .syntax import (
     substitute,
 )
 from .terms import (
-    MAX_NESTING, Substitution, Term, Theory, Var, eq_mod, free_vars, normalize,
-    parse_term, render_term,
+    Reader, Substitution, Term, Theory, Var, eq_mod, free_vars, normalize,
+    render_term,
 )
 
 __all__ = [
@@ -486,80 +486,25 @@ def check_pi(
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
-class _TooDeep(ValueError):
-    pass
+class _FParser(Reader):
+    """The formula grammar, on the shared reader's cursor and term rule.
+    `tt`, `ff` and `tau` are whole identifiers, read as such only where a
+    formula or a label starts."""
 
-
-class _FParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0      # nesting of the formula being parsed
-
-    def descend(self) -> None:
-        """Enter one more level of nesting, refusing formulas nested deeper
-        than MAX_NESTING.  Callers restore `depth` when the level ends."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise _TooDeep(f"at most {MAX_NESTING} levels of nesting "
-                           f"(offset {self.pos})")
-
-    def _ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+    def _word(self, text: str) -> bool:
+        """Consume the identifier `text` if it comes next."""
+        t = self.peek()
+        if t.kind == "ident" and t.text == text:
             self.pos += 1
-
-    def peek(self, s: str) -> bool:
-        self._ws()
-        return self.text.startswith(s, self.pos)
-
-    def eat(self, s: str) -> bool:
-        if self.peek(s):
-            self.pos += len(s)
             return True
         return False
-
-    def expect(self, s: str):
-        if not self.eat(s):
-            got = self.text[self.pos:self.pos + 12]
-            raise ValueError(f"expected {s!r} at {got!r} (offset {self.pos})")
-
-    def ident(self) -> str:
-        self._ws()
-        i = self.pos
-        while i < len(self.text) and (self.text[i].isalnum() or self.text[i] in "_'#?"):
-            i += 1
-        if i == self.pos:
-            raise ValueError(f"expected identifier at offset {self.pos}")
-        out = self.text[self.pos:i]
-        self.pos = i
-        return out
-
-    def term(self) -> Term:
-        self._ws()
-        start = self.pos
-        depth = 0
-        i = self.pos
-        while i < len(self.text):
-            c = self.text[i]
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif depth == 0 and c in "=!<>&|[]?\\":
-                break
-            i += 1
-        text = self.text[start:i].strip()
-        self.pos = start + len(self.text[start:i])
-        return parse_term(text)
 
     # Implications nest to the right and chains of & and \/ to the left,
     # one level per operator; a modality or a parenthesis is one level too.
     def formula(self) -> Formula:
         base = self.depth
         left = self.disjunct()
-        if self.eat("=>"):
+        if self.accept("=>"):
             self.descend()
             left = Implies(left, self.formula())
         self.depth = base
@@ -569,7 +514,7 @@ class _FParser:
         # '\/' for disjunction; '|' kept as alias
         base = self.depth
         out = self.conjunct()
-        while self.eat("\\/") or (self.peek("|") and not self.peek("|=") and self.eat("|")):
+        while self.accept("\\/") or self.accept("|"):
             self.descend()
             out = Or(out, self.conjunct())
         self.depth = base
@@ -578,70 +523,53 @@ class _FParser:
     def conjunct(self) -> Formula:
         base = self.depth
         out = self.unary()
-        while self.eat("&"):
+        while self.accept("&"):
             self.descend()
             out = And(out, self.unary())
         self.depth = base
         return out
 
     def unary(self) -> Formula:
-        self._ws()
-        if self.eat("tt"):
+        if self._word("tt"):
             return Top()
-        if self.eat("ff"):
+        if self._word("ff"):
             return Bottom()
         base = self.depth
-        if self.eat("<"):
+        t = self.peek()
+        if t.kind not in ("<", "[", "("):
+            left = self.term()
+            if self.accept("!="):
+                return neq(left, self.term())
+            self.expect("=", "'=' or '!='")
+            return Equal(left, self.term())
+        self.next()
+        if t.kind == "(":
+            self.descend()
+            f = self.formula()
+            self.expect(")", "')'")
+        else:
             lab = self.label()
-            self.expect(">")
+            close = ">" if t.kind == "<" else "]"
+            self.expect(close, repr(close))
             self.descend()
-            f = Diamond(lab, self.unary())
-            self.depth = base
-            return f
-        if self.eat("["):
-            lab = self.label()
-            self.expect("]")
-            self.descend()
-            f = Box(lab, self.unary())
-            self.depth = base
-            return f
-        if self.peek("("):
-            save = self.pos
-            self.eat("(")
-            self.descend()
-            try:
-                inner = self.formula()
-                self.expect(")")
-                self.depth = base
-                return inner
-            except _TooDeep:
-                raise
-            except ValueError:
-                # a parenthesised term, fall through
-                self.pos, self.depth = save, base
-        left = self.term()
-        self._ws()
-        if self.eat("!="):
-            return neq(left, self.term())
-        self.expect("=")
-        return Equal(left, self.term())
+            f = (Diamond if close == ">" else Box)(lab, self.unary())
+        self.depth = base
+        return f
 
     def label(self) -> LabelPat:
-        self._ws()
-        if self.eat("tau"):
+        if self._word("tau"):
             return LabelPat("tau")
         chan = self.term()
-        self._ws()
-        if self.eat("!"):
-            if self.eat("("):
-                binder = self.ident()
-                self.expect(")")
+        if self.accept("!"):
+            if self.accept("("):
+                binder = self.expect("ident", "a binder").text
+                self.expect(")", "')'")
                 return LabelPat("out", chan, binder=binder)
             return LabelPat("free-out", chan, payload=self.term())
-        self.expect("?")
-        if self.eat("("):
-            binder = self.ident()
-            self.expect(")")
+        self.expect("?", "'!' or '?'")
+        if self.accept("("):
+            binder = self.expect("ident", "a binder").text
+            self.expect(")", "')'")
             return LabelPat("late-in", chan, binder=binder)
         return LabelPat("in", chan, payload=self.term())
 
@@ -649,9 +577,7 @@ class _FParser:
 def parse_formula(text: str) -> Formula:
     p = _FParser(text)
     f = p.formula()
-    p._ws()
-    if p.pos != len(p.text):
-        raise ValueError(f"trailing input in formula: {p.text[p.pos:]!r}")
+    p.end()
     return f
 
 

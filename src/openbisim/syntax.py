@@ -21,12 +21,11 @@ Extended processes:  new x. new y. { u = M, v = N } | P
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .terms import (
-    MAX_NESTING, App, Substitution, Term, Theory, Var,
+    App, ParseError, Reader, Substitution, Term, Theory, Var,
     free_vars as term_free_vars, normalize, render_term,
 )
 
@@ -727,118 +726,17 @@ def pretty_extended(ep: ExtendedProcess) -> str:
 # Parser
 
 
-class ParseError(Exception):
-    def __init__(self, line: int, column: int, expected: str, found: str = ""):
-        self.line = line
-        self.column = column
-        self.expected = expected
-        self.found = found
-        msg = f"line {line}, column {column}: expected {expected}"
-        if found:
-            msg += f", found {found!r}"
-        super().__init__(msg)
+class _Parser(Reader):
+    """The process grammar, on the shared reader's cursor and term rule."""
 
-
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+|#[^\n]*)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_'#]*)"
-    r"|(?P<op>!=|->|[()\[\]{}.,=+|])"
-    r"|(?P<num>0)"
-)
-
-_KEYWORDS = {"new", "out", "in", "tau", "if", "then", "else", "rep"}
-
-
-@dataclass
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(src: str) -> list[_Tok]:
-    toks = []
-    line, col, i = 1, 1, 0
-    while i < len(src):
-        m = _TOKEN_RE.match(src, i)
-        if not m:
-            raise ParseError(line, col, "a token", src[i])
-        text = m.group(0)
-        kind = m.lastgroup or ""
-        if kind != "ws":
-            if kind == "num":
-                kind = "zero"
-            elif kind == "op":
-                kind = text
-            elif kind == "ident" and text in _KEYWORDS:
-                kind = text
-            toks.append(_Tok(kind, text, line, col))
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        i = m.end()
-    toks.append(_Tok("eof", "", line, col))
-    return toks
-
-
-class _Parser:
-    def __init__(self, src: str):
-        self.toks = _tokenize(src)
-        self.pos = 0
-        self.depth = 0      # nesting of the node being parsed
-
-    def descend(self) -> None:
-        """Enter one more level of nesting, refusing inputs nested deeper
-        than MAX_NESTING.  Callers restore `depth` when the level ends."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            t = self.peek()
-            raise ParseError(t.line, t.col,
-                             f"at most {MAX_NESTING} levels of nesting",
-                             t.text or "end of input")
-
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
-
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str, what: str = "") -> _Tok:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(t.line, t.col, what or repr(kind), t.text or "end of input")
-        return self.next()
-
-    # -- terms ------------------------------------------------------------
-    def term(self) -> Term:
-        t = self.expect("ident", "an identifier")
-        if self.peek().kind == "(":
-            self.next()
-            self.descend()
-            args: list[Term] = []
-            if self.peek().kind != ")":
-                args.append(self.term())
-                while self.peek().kind == ",":
-                    self.next()
-                    args.append(self.term())
-            self.expect(")", "')'")
-            self.depth -= 1
-            return App(t.text, tuple(args))
-        return Var(t.text)
+    keywords = frozenset({"new", "out", "in", "tau", "if", "then", "else", "rep"})
 
     # -- processes ---------------------------------------------------------
     # A chain P | Q | R nests to the left, one level per operator.
     def process(self) -> Process:
         base = self.depth
         p = self.choice()
-        while self.peek().kind == "|":
-            self.next()
+        while self.accept("|"):
             self.descend()
             p = Parallel(p, self.choice())
         self.depth = base
@@ -847,18 +745,14 @@ class _Parser:
     def choice(self) -> Process:
         base = self.depth
         p = self.prefix()
-        while self.peek().kind == "+":
-            self.next()
+        while self.accept("+"):
             self.descend()
             p = Choice(p, self.prefix())
         self.depth = base
         return p
 
     def _continuation(self) -> Process:
-        if self.peek().kind == ".":
-            self.next()
-            return self.prefix()
-        return Deadlock()
+        return self.prefix() if self.accept(".") else Deadlock()
 
     def prefix(self) -> Process:
         base = self.depth
@@ -868,20 +762,16 @@ class _Parser:
         return p
 
     def _prefix(self) -> Process:
-        t = self.peek()
+        t = self.next()
         if t.kind == "zero":
-            self.next()
             return Deadlock()
         if t.kind == "(":
-            self.next()
             p = self.process()
             self.expect(")", "')'")
             return p
         if t.kind == "new":
-            self.next()
             names = [self.expect("ident", "a name").text]
-            while self.peek().kind == ",":
-                self.next()
+            while self.accept(","):
                 self.descend()      # one New node per name
                 names.append(self.expect("ident", "a name").text)
             self.expect(".", "'.'")
@@ -890,7 +780,6 @@ class _Parser:
                 p = New(x, p)
             return p
         if t.kind == "out":
-            self.next()
             self.expect("(", "'('")
             chan = self.term()
             self.expect(",", "','")
@@ -898,7 +787,6 @@ class _Parser:
             self.expect(")", "')'")
             return Send(chan, payload, self._continuation())
         if t.kind == "in":
-            self.next()
             self.expect("(", "'('")
             chan = self.term()
             self.expect(",", "','")
@@ -906,47 +794,34 @@ class _Parser:
             self.expect(")", "')'")
             return Receive(chan, binder, self._continuation())
         if t.kind == "tau":
-            self.next()
             return TauPrefix(self._continuation())
         if t.kind == "[":
-            self.next()
             left = self.term()
-            op = self.peek()
-            if op.kind == "=":
-                self.next()
-                cls = Match
-            elif op.kind == "!=":
-                self.next()
-                cls = Mismatch
-            else:
-                raise ParseError(op.line, op.col, "'=' or '!='", op.text)
+            op = self.next()
+            if op.kind not in ("=", "!="):
+                raise self.error(op, "'=' or '!='", op.text)
             right = self.term()
             self.expect("]", "']'")
-            return cls(left, right, self.prefix())
+            return (Match if op.kind == "=" else Mismatch)(left, right, self.prefix())
         if t.kind == "if":
-            self.next()
             left = self.term()
             self.expect("=", "'='")
             right = self.term()
             self.expect("then", "'then'")
             then_p = self.prefix()
             self.expect("else", "'else'")
-            else_p = self.prefix()
-            return if_then_else(left, right, then_p, else_p)
+            return if_then_else(left, right, then_p, self.prefix())
         if t.kind == "rep":
-            self.next()
             return Replicate(self.prefix())
-        raise ParseError(t.line, t.col, "a process", t.text or "end of input")
+        raise self.error(t, "a process")
 
     # -- extended processes --------------------------------------------------
     def restrictions(self) -> list[str]:
         """The names of leading 'new x, ..., y.' prefixes."""
         names: list[str] = []
-        while self.peek().kind == "new":
-            self.next()
+        while self.accept("new"):
             names.append(self.expect("ident", "a name").text)
-            while self.peek().kind == ",":
-                self.next()
+            while self.accept(","):
                 names.append(self.expect("ident", "a name").text)
             self.expect(".", "'.'")
         return names
@@ -956,35 +831,22 @@ class _Parser:
         the restrictions `privates`; the caller checks the end of input."""
         self.expect("{", "'{'")
         bindings: list[tuple[str, Term]] = []
-        order: list[str] = []
         if self.peek().kind != "}":
             while True:
                 name = self.expect("ident", "a frame variable").text
                 self.expect("=", "'='")
                 bindings.append((name, self.term()))
-                order.append(name)
-                if self.peek().kind == ",":
-                    self.next()
-                    continue
-                break
+                if not self.accept(","):
+                    break
         self.expect("}", "'}'")
-        body: Process = Deadlock()
-        if self.peek().kind == "|":
-            self.next()
-            body = alpha_canonicalize(self.process())
-        return ExtendedProcess(
-            tuple(privates), Substitution(tuple(bindings)), body, tuple(order)
-        )
+        body = alpha_canonicalize(self.process()) if self.accept("|") else Deadlock()
+        return ExtendedProcess(tuple(privates), Substitution(tuple(bindings)), body,
+                               tuple(name for name, _ in bindings))
 
     def whole_process(self) -> Process:
         proc = self.process()
         self.end()
         return alpha_canonicalize(proc)
-
-    def end(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(tok.line, tok.col, "end of input", tok.text)
 
 
 def parse_process(src: str) -> Process:

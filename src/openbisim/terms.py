@@ -4,6 +4,8 @@ unification for pluggable finitary theories.
 Terms are built from one global namespace of identifiers: a name is simply a
 variable that some binder owns.  A Theory packages a signature, an ordered
 convergent rule list, and the narrowing depth used for E-unification.
+The reader at the end (one tokenizer, one cursor, one term rule and one
+ParseError) reads terms, theory rules, processes and formulas alike.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import kernel
 
 __all__ = [
     "Term", "Var", "App", "Substitution", "RewriteRule", "Theory",
     "UnifierSet", "Entailment", "UnknownSymbol", "NonTermination",
-    "TheoryError", "normalize", "eq_mod", "unify_mod", "fresh_for",
+    "TheoryError", "ParseError", "normalize", "eq_mod", "unify_mod", "fresh_for",
     "entails_neq", "free_vars", "subterms", "term_size", "parse_term",
     "render_term", "load_theory", "parse_theory", "dy_asym", "dy_blind",
 ]
@@ -792,57 +794,149 @@ def entails_neq(names: Iterable[str], s: Term, t: Term, th: Theory) -> Entailmen
 
 
 # ---------------------------------------------------------------------------
-# Term parsing (shared by the process/formula/theory grammars)
+# Reading: one tokenizer, one cursor and one term rule for every grammar
+# (terms here, processes in syntax, formulas in logic)
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_'#]*|\(|\)|,)")
 
-# Deepest nesting the parsers accept.  Terms, processes and the checker's
+class ParseError(Exception):
+    """Text that does not follow its grammar, at a 1-based line and column."""
+
+    def __init__(self, line: int, column: int, expected: str, found: str = ""):
+        self.line = line
+        self.column = column
+        self.expected = expected
+        self.found = found
+        msg = f"line {line}, column {column}: expected {expected}"
+        if found:
+            msg += f", found {found!r}"
+        super().__init__(msg)
+
+    def at(self, line: int, column: int) -> "ParseError":
+        """This error of one-line text that starts at `column` of `line`
+        of a larger input."""
+        return ParseError(line, column + self.column - 1, self.expected, self.found)
+
+
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+|#[^\n]*)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_'#]*)"
+    r"|(?P<op>!=|->|=>|\\/|[()\[\]{}.,=+|<>&!?])"
+    r"|(?P<zero>0)"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
+class _Tok(NamedTuple):
+    kind: str       # 'ident', 'zero', 'eof', an operator or a keyword
+    text: str
+    offset: int
+
+
+def _tokenize(src: str, keywords: frozenset[str]) -> list[_Tok]:
+    toks = []
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        text = m.group()
+        if kind == "bad":
+            raise _error(src, m.start(), "a token", text)
+        if kind == "op" or (kind == "ident" and text in keywords):
+            kind = text
+        toks.append(_Tok(kind, text, m.start()))
+    toks.append(_Tok("eof", "", len(src)))
+    return toks
+
+
+def _error(src: str, offset: int, expected: str, found: str) -> ParseError:
+    line = src.count("\n", 0, offset) + 1
+    return ParseError(line, offset - src.rfind("\n", 0, offset), expected, found)
+
+
+# Deepest nesting the readers accept.  Terms, processes and the checker's
 # traversals of them recurse once per level, so a deeper input would
 # exhaust the stack instead of being refused.
 MAX_NESTING = 1000
 
 
-def parse_term(text: str) -> Term:
-    term, rest = _parse_term_prefix(text, 0)
-    if rest.strip():
-        raise TheoryError(f"trailing input after term: {rest.strip()!r}")
-    return term
+class Reader:
+    """A cursor over the tokens of one text, shared by every grammar.
+    Identifiers in a grammar's `keywords` get their own text as their kind.
+    `depth` counts the nesting of the node being read, terms included."""
 
+    keywords: frozenset[str] = frozenset()
 
-def _parse_term_prefix(text: str, depth: int) -> tuple[Term, str]:
-    if depth > MAX_NESTING:
-        raise TheoryError(f"term nested deeper than {MAX_NESTING} levels")
-    m = _TOKEN.match(text)
-    if not m or m.group(1) in ("(", ")", ","):
-        raise TheoryError(f"expected identifier at {text.strip()[:30]!r}")
-    head = m.group(1)
-    rest = text[m.end():]
-    if rest.lstrip().startswith("("):
-        rest = rest.lstrip()[1:]
+    def __init__(self, src: str):
+        self.src = src
+        self.toks = _tokenize(src, self.keywords)
+        self.pos = 0
+        self.depth = 0
+
+    def error(self, tok: _Tok, expected: str, found: Optional[str] = None) -> ParseError:
+        """`expected` was not found at `tok`; line and column are worked
+        out here, from the token's offset."""
+        return _error(self.src, tok.offset, expected,
+                      (tok.text or "end of input") if found is None else found)
+
+    def peek(self) -> _Tok:
+        return self.toks[self.pos]
+
+    def next(self) -> _Tok:
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def accept(self, kind: str) -> bool:
+        if self.toks[self.pos].kind == kind:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, kind: str, what: str = "") -> _Tok:
+        t = self.peek()
+        if t.kind != kind:
+            raise self.error(t, what or repr(kind))
+        return self.next()
+
+    def descend(self) -> None:
+        """Enter one more level of nesting, refusing inputs nested deeper
+        than MAX_NESTING.  Callers restore `depth` when the level ends."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(self.peek(), f"at most {MAX_NESTING} levels of nesting")
+
+    def end(self) -> None:
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise self.error(tok, "end of input")
+
+    def term(self) -> Term:
+        t = self.expect("ident", "an identifier")
+        if not self.accept("("):
+            return Var(t.text)
+        self.descend()
         args: list[Term] = []
-        while True:
-            if not args and rest.lstrip().startswith(")"):
-                rest = rest.lstrip()[1:]
-                break
-            arg, rest = _parse_term_prefix(rest, depth + 1)
-            args.append(arg)
-            nxt = rest.lstrip()
-            if nxt.startswith(","):
-                rest = nxt[1:]
-                continue
-            if nxt.startswith(")"):
-                rest = nxt[1:]
-                break
-            raise TheoryError(f"expected ',' or ')' at {nxt[:30]!r}")
-        return App(head, tuple(args)), rest
-    return Var(head), rest
+        if self.peek().kind != ")":
+            args.append(self.term())
+            while self.accept(","):
+                args.append(self.term())
+        self.expect(")", "')'")
+        self.depth -= 1
+        return App(t.text, tuple(args))
+
+
+def parse_term(text: str) -> Term:
+    r = Reader(text)
+    t = r.term()
+    r.end()
+    return t
 
 
 # ---------------------------------------------------------------------------
 # Theory files
 
 _SYM_RE = re.compile(r"^sym\s+([A-Za-z_][A-Za-z0-9_']*)\s*/\s*(\d+)\s*$")
-_RULE_RE = re.compile(r"^rule\s+(.*?)\s*->\s*(.*?)\s*$")
 _META_RE = re.compile(r"^meta\s+([a-z_]+)\s*=\s*(\S+)\s*$")
 
 
@@ -858,18 +952,23 @@ def parse_theory(text: str, name: str = "user") -> Theory:
     rules: list[RewriteRule] = []
     meta: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         if m := _SYM_RE.match(line):
             signature[m.group(1)] = int(m.group(2))
             continue
-        if m := _RULE_RE.match(line):
+        if line.split(None, 1)[0] == "rule":
             try:
-                lhs = parse_term(m.group(1))
-                rhs = parse_term(m.group(2))
-            except TheoryError as exc:
-                raise TheoryError(f"line {lineno}: {exc}") from None
+                r = Reader(code)
+                r.next()
+                lhs = r.term()
+                r.expect("->", "'->'")
+                rhs = r.term()
+                r.end()
+            except ParseError as exc:
+                raise exc.at(lineno, 1) from None
             # identifiers that are declared nullary symbols are constants
             lhs = _promote_constants(lhs, signature)
             rhs = _promote_constants(rhs, signature)
@@ -881,11 +980,12 @@ def parse_theory(text: str, name: str = "user") -> Theory:
             meta[m.group(1)] = m.group(2)
             continue
         raise TheoryError(f"line {lineno}: cannot parse {line!r}")
-    kwargs = {}
-    if "unification_bound" in meta:
-        kwargs["unification_bound"] = int(meta["unification_bound"])
-    if "rewrite_ceiling" in meta:
-        kwargs["rewrite_ceiling"] = int(meta["rewrite_ceiling"])
+    kwargs: dict = {}
+    for key in ("unification_bound", "rewrite_ceiling"):
+        if key in meta:
+            if not meta[key].isdecimal():
+                raise TheoryError(f"meta {key} must be a non-negative integer")
+            kwargs[key] = int(meta[key])
     if "saturation_complete" in meta:
         kwargs["saturation_complete"] = meta["saturation_complete"] in ("true", "1", "yes")
     return Theory(name=name, signature=signature, rules=tuple(rules), **kwargs)

@@ -272,9 +272,56 @@ def test_deeply_nested_formulas_exit_66(tmp_path):
         got, out, err = run(["model-check", server, str(formula), THY])
         assert got == code, (levels, err[-500:])
         assert ("unsat" in out) if code == 1 else ("levels of nesting" in err)
-    # a term nested too deep inside a formula is refused the same way
-    formula = tmp_path / "deep_term.fm"
-    formula.write_text("x = " + "hash(" * 1_001 + "y" + ")" * 1_001 + "\n")
-    got, _, err = run(["model-check", server, str(formula), THY])
-    assert got == 66, err[-500:]
-    assert "nested deeper" in err
+    # a term nested too deep inside a formula is refused the same way, and
+    # the levels of its terms count with those of the formula around them
+    for name, text in (("deep_term", "x = " + "hash(" * 1_001 + "y" + ")" * 1_001),
+                       ("deep_both", "<tau>" * 600 + "x = " + "hash(" * 600 + "y"
+                        + ")" * 600)):
+        formula = tmp_path / f"{name}.fm"
+        formula.write_text(text + "\n")
+        got, _, err = run(["model-check", server, str(formula), THY])
+        assert got == 66, err[-500:]
+        assert "levels of nesting" in err
+
+
+@pytest.mark.parametrize("channel", ["taux", "ttl"])
+def test_distinguish_formulas_read_back(tmp_path, channel):
+    # tt, ff and tau are whole identifiers: a name that starts with one of
+    # them reads back as a name
+    left, right = tmp_path / "l.pi", tmp_path / "r.pi"
+    left.write_text(f"out({channel}, a). 0\n")
+    right.write_text("0\n")
+    code, out, _ = run(["distinguish", str(left), str(right), THY])
+    assert code == 0
+    lines = dict(line.split(":", 1) for line in out.splitlines())
+    for bias, sat_side in (("left-biased", left), ("right-biased", right)):
+        formula = tmp_path / f"{bias}.fm"
+        formula.write_text(lines[bias].strip() + "\n")
+        for side in (left, right):
+            got = run(["model-check", str(side), str(formula), THY])[:2]
+            assert got == ((0, "sat\n") if side == sat_side else (1, "unsat\n")), (bias, side)
+    if channel == "taux":
+        s = tmp_path / "strategy.txt"
+        args = ["check-bisim", str(left), str(right), THY]
+        assert run(args + ["--emit-strategy", str(s)])[0] == 1
+        assert run(args + ["--validate", str(s)])[:2] == (0, "valid\n")
+
+
+def test_witness_of_another_pair_is_invalid(tmp_path):
+    p = tmp_path / "p.pi"
+    p.write_text("out(x, a). 0 | in(y, z). 0\n")
+    w = tmp_path / "witness.txt"
+    assert run(["check-bisim", str(p), str(p), THY, "--emit-witness", str(w)])[0] == 0
+    assert run(["check-bisim", str(p), str(p), THY, "--validate", str(w)])[:2] == (0, "valid\n")
+    # the root line is not the pair checked
+    code, out, _ = run(["check-bisim", corpus_path("server_a.pi"), corpus_path("server_c.pi"),
+                        THY, "--validate", str(w)])
+    assert (code, out) == (1, "invalid\n")
+
+
+def test_witness_of_another_mode_is_invalid(tmp_path):
+    args = ["check-bisim", corpus_path("open_guard_l.pi"), corpus_path("open_guard_r.pi"), THY]
+    w = tmp_path / "witness.txt"
+    assert run(args + ["--emit-witness", str(w)])[0] == 0
+    assert run(args + ["--validate", str(w)])[:2] == (0, "valid\n")
+    assert run(args + ["--late-pi", "--validate", str(w)])[:2] == (1, "invalid\n")

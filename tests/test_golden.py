@@ -6,10 +6,10 @@ pair, and the model-check result, each computed on a freshly loaded theory
 as the command-line front end does.  A change that must keep the output
 byte-identical keeps these digests.  Hash-and-sign, the largest witness
 (24,172 pairs), has a test of its own that also validates the witness, on
-the split-over-workers path of `validate_witness`.  Beyond the corpus, the
-rendered `open_bisim_pi_check` output of 40 seeded small pi-fragment pairs
-(guards, restriction, sums, parallel, inputs, free and bound outputs) is
-pinned too.
+the split-over-workers path of `validate_witness`.  Every formula printed
+or read must read back as itself.  Beyond the corpus, the rendered
+`open_bisim_pi_check` output of 40 seeded small pi-fragment pairs (guards,
+restriction, sums, parallel, inputs, free and bound outputs) is pinned too.
 
 Print the digests of the current source with
 
@@ -28,7 +28,9 @@ from openbisim.bisim import (
     open_bisim_pi_check, quasi_open_check, validate_witness,
 )
 from openbisim.cli import render_strategy, render_witness
-from openbisim.logic import check, distinguish, parse_formula, pretty_formula
+from openbisim.logic import (
+    check, distinguish, formula_alpha_equiv, parse_formula, pretty_formula,
+)
 from openbisim.syntax import parse, parse_process
 from openbisim.terms import load_theory
 
@@ -181,12 +183,20 @@ def config(entry) -> CheckConfig:
                        mode="late-pi" if entry.kind == "bisim-pi" else "early-applied")
 
 
+def printed(f) -> str:
+    """pretty_formula(f), which must read back as f."""
+    text = pretty_formula(f)
+    assert formula_alpha_equiv(parse_formula(text), f), text
+    return text
+
+
 def rendered(entry) -> str:
     """Everything the CLI prints about `entry`, as one text."""
     cfg = config(entry)
     left = parse(corpus.read(entry.left))
     if entry.kind == "model-check":
         formula = parse_formula(corpus.read(entry.formula))
+        printed(formula)
         return "model-check " + check(left, formula, fresh(entry), cfg).value + "\n"
     right = parse(corpus.read(entry.right))
     game = open_bisim_pi_check if entry.kind == "bisim-pi" else quasi_open_check
@@ -197,8 +207,8 @@ def rendered(entry) -> str:
         return f"unknown: {verdict.reason}\n"
     fl, fr = distinguish(left, right, fresh(entry), cfg)
     return (render_strategy(verdict.strategy)
-            + f"left-biased:  {pretty_formula(fl)}\n"
-            + f"right-biased: {pretty_formula(fr)}\n")
+            + f"left-biased:  {printed(fl)}\n"
+            + f"right-biased: {printed(fr)}\n")
 
 
 def digest(entry) -> str:

@@ -8,7 +8,7 @@ from openbisim.bisim import (
     apply_world_move,
 )
 from openbisim.logic import (
-    Bottom, Box, Diamond, Implies, LabelPat, NotDistinguished, Sat, Top,
+    Bottom, Box, Diamond, Equal, Implies, LabelPat, NotDistinguished, Sat, Top,
     check, check_pi, distinguish, formula_alpha_equiv, neq, parse_formula,
     pretty_formula, subst_formula,
 )
@@ -52,9 +52,15 @@ def test_parse_labels():
     assert inner.body.label.kind == "free-out"
 
 
+def test_keywords_are_whole_identifiers():
+    assert F("ttl = a") == Equal(Var("ttl"), Var("a"))
+    assert F("ffo = a") == Equal(Var("ffo"), Var("a"))
+    assert F("<taux!(v#1)>tt") == Diamond(LabelPat("out", Var("taux"), binder="v#1"), Top())
+
+
 def test_roundtrip_corpus():
     corpus = [
-        "tt", "ff", "[tau]ff", "x != y => <tau>tt",
+        "tt", "ff", "[tau]ff", "x != y => <tau>tt", "ttl = a & <taux!(v#1)>ffo != b",
         r"[tau]([tau]ff \/ <tau>tt)",
         "<tau>((x != y => <tau>tt) & [tau]x != y)",
         "<a!(v)><a?v><a!(w)>aenc(m, v) = w",

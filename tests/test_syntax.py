@@ -2,7 +2,8 @@
 
 import pytest
 
-import openbisim.syntax as syntax
+import openbisim.terms as terms
+from openbisim.logic import parse_formula
 from openbisim.syntax import (
     Choice, Deadlock, DomainClash, ExtendedProcess, Match, Mismatch, New,
     Parallel, ParseError, Receive, Replicate, Send, TauPrefix,
@@ -202,18 +203,22 @@ def test_node_protocol(cls, fields):
     assert repr(p) == pretty(p)
 
 
-@pytest.mark.parametrize("src", [
-    "new k. out(a, k). 0",
-    "new k, r. new s. {x = pair(k, r)} | out(a, s). 0",
+@pytest.mark.parametrize("read,src", [
+    pytest.param(parse, src, id=src) for src in [
+        "new k. out(a, k). 0",
+        "new k, r. new s. {x = pair(k, r)} | out(a, s). 0",
+    ]
+] + [
+    pytest.param(parse_formula, "<a!(v)>[a?hash(v)](x = y => <tau>tt)", id="formula"),
 ])
-def test_parse_tokenizes_once(monkeypatch, src):
+def test_parse_tokenizes_once(monkeypatch, read, src):
     calls = []
-    tokenize = syntax._tokenize
+    tokenize = terms._tokenize
 
-    def counting(text):
+    def counting(text, keywords):
         calls.append(text)
-        return tokenize(text)
+        return tokenize(text, keywords)
 
-    monkeypatch.setattr(syntax, "_tokenize", counting)
-    parse(src)
+    monkeypatch.setattr(terms, "_tokenize", counting)
+    read(src)
     assert calls == [src]
