@@ -45,8 +45,7 @@ from .syntax import (
     output_terms, promote, substitute, unfold_replication,
 )
 from .terms import (
-    App, Substitution, Term, Theory, Var, _generated_renaming, _inverse,
-    _renamed_term, _shape, apply_map, eq_mod,
+    App, Substitution, Term, Theory, Var, apply_map, eq_mod,
     free_vars as term_free_vars, match_term, normalize, render_term,
     solved_unifier, subterms, syntactic_unify, unify_mod,
 )
@@ -211,7 +210,7 @@ def _refresh_narrowing(sub: Substitution, gen: NameGen) -> Substitution:
 
 def _narrow_patterns(th: Theory) -> dict[str, tuple[Term, ...]]:
     """Rule lhs arguments with variables renamed apart, grouped by head."""
-    pats = th._aux.get("narrow_patterns")
+    pats = th.memo.get("narrow_patterns")
     if pats is None:
         out: dict[str, list[Term]] = {}
         for rule in th.rules:
@@ -222,7 +221,7 @@ def _narrow_patterns(th: Theory) -> dict[str, tuple[Term, ...]]:
                 if isinstance(arg, App):
                     out.setdefault(arg.fn, []).append(ren(arg))
         pats = {fn: tuple(v) for fn, v in out.items()}
-        th._aux["narrow_patterns"] = pats
+        th.memo["narrow_patterns"] = pats
     return pats
 
 
@@ -230,7 +229,7 @@ def _narrowings(t: App, th: Theory) -> tuple[Substitution, ...]:
     """The unifiers of `t` with the narrowing patterns of its head,
     restricted to the variables of `t`, in pattern order.  Memoized in the
     theory's ``narrowings`` table on the term."""
-    memo = th._aux.setdefault("narrowings", {})
+    memo = th.memo["narrowings"]
     got = memo.get(t)
     if got is None:
         out = []
@@ -245,7 +244,7 @@ def _narrowings(t: App, th: Theory) -> tuple[Substitution, ...]:
 def _demand_patterns(th: Theory) -> tuple[tuple[Term, ...], ...]:
     """Rule lhs terms (and compound arguments) renamed apart, for matching
     future outputs into rules when selecting input payloads."""
-    pats = th._aux.get("demand_patterns")
+    pats = th.memo.get("demand_patterns")
     if pats is None:
         out = []
         for rule in th.rules:
@@ -258,15 +257,13 @@ def _demand_patterns(th: Theory) -> tuple[tuple[Term, ...], ...]:
                     group.append(ren(arg))
             out.append(tuple(group))
         pats = tuple(out)
-        th._aux["demand_patterns"] = pats
+        th.memo["demand_patterns"] = pats
     return pats
 
 
 class _StateView(NamedTuple):
     """The parts of a state that world refinements and payload candidates
-    are computed from, and that the payload table's key holds; `names`
-    holds every name they mention (and possibly more: the body's bound
-    names)."""
+    are computed from, and that the payload table's key holds."""
 
     privates: tuple[str, ...]
     frame: Substitution
@@ -274,48 +271,14 @@ class _StateView(NamedTuple):
     guards: tuple[tuple[str, Term, Term], ...]
     outputs: tuple[Term, ...]
     free: frozenset[str]            # free variables outside the frame domain
-    names: frozenset[str]
 
     @staticmethod
     def of(ep: ExtendedProcess) -> "_StateView":
-        range_vars = ep.frame.range_vars()
-        domain = ep.frame.domain
-        free = (free_vars(ep.body) | range_vars) - domain - frozenset(ep.privates)
-        names = free | domain | range_vars | bound_names(ep.body) | frozenset(ep.privates)
+        free = ((free_vars(ep.body) | ep.frame.range_vars())
+                - ep.frame.domain - frozenset(ep.privates))
         return _StateView(
             ep.privates, ep.frame, ep.frame_order, tuple(guard_pairs(ep.body)),
-            tuple(output_terms(ep.body)), free, names,
-        )
-
-    def key(self, ren: dict[str, str], th: Theory) -> tuple:
-        """Private names, frame bindings, guard pairs and output terms,
-        renamed: the terms' shapes and, in one tuple, the renamed names."""
-        shapes = [_shape(t, th) for _, t in self.frame.bindings]
-        for _, s, t in self.guards:
-            shapes.append(_shape(s, th))
-            shapes.append(_shape(t, th))
-        shapes += [_shape(t, th) for t in self.outputs]
-        names = [*self.privates, *(x for x, _ in self.frame.bindings)]
-        for _, held in shapes:
-            names += held
-        return (
-            len(self.privates), len(self.frame.bindings),
-            tuple([k for k, _, _ in self.guards]), tuple([sh for sh, _ in shapes]),
-            tuple([ren.get(x, x) for x in names]),
-        )
-
-    def renamed(self, ren: dict[str, str], th: Theory) -> "_StateView":
-        def rt(t: Term) -> Term:
-            return _renamed_term(t, ren, th)
-
-        return _StateView(
-            tuple(ren.get(x, x) for x in self.privates),
-            Substitution(tuple((ren.get(x, x), rt(t)) for x, t in self.frame.bindings)),
-            tuple(ren.get(x, x) for x in self.frame_order),
-            tuple((k, rt(s), rt(t)) for k, s, t in self.guards),
-            tuple(rt(t) for t in self.outputs),
-            frozenset(ren.get(x, x) for x in self.free),
-            frozenset(ren.get(x, x) for x in self.names),
+            tuple(output_terms(ep.body)), free,
         )
 
 
@@ -473,7 +436,7 @@ def _legal_unify(a: Term, b: Term, th: Theory) -> bool:
     exact shapes are relevant at the current one.  Memoized in the theory's
     ``legal_unify`` table on the term pair: sibling nodes of one game test
     the same images against the same guards."""
-    memo = th._aux.setdefault("legal_unify", {})
+    memo = th.memo["legal_unify"]
     got = memo.get((a, b))
     if got is None:
         got = memo[(a, b)] = _legal_unify_raw(a, b)
@@ -524,7 +487,7 @@ def _frame_images(frame: Frame, th: Theory, key: tuple,
     arguments (frames._image_from_args), which in a convergent theory gives
     each recipe's normal form without rewriting the instantiated recipe
     again."""
-    images = th._aux.setdefault("recipe_images", {}).setdefault(
+    images = th.memo["recipe_images"].setdefault(
         (frame.privates, frame.binding.bindings, frame.order) + key, {})
     for r in recipes:
         if r not in images:
@@ -582,31 +545,20 @@ def _payload_candidates(
 ) -> list[Term]:
     """Candidate input payload recipes at a node, relevance-filtered.
 
-    Cached in the theory's ``payload_cache``.  The key is every part of the
-    node that _payload_candidates_raw reads: both sides' private names,
-    frame bindings, guard pairs and output terms, the publics (free names
-    outside the frame domains, such as channel names) and the recipe depth,
-    with generated names renamed by an order-preserving renaming
-    (_generated_renaming), so nodes that differ only in those names share
-    one entry.  The frames' extension order is left out: recipes are
-    enumerated in (size, name) order whatever it is.  A miss is computed on
-    the renamed states; the cached list holds canonical names and a
-    placeholder for the fresh-variable candidate, both renamed back per
-    call.
+    Memoized in the theory's ``payload_cache`` table on both sides'
+    _StateView, which holds every part of the node that
+    _payload_candidates_raw reads, and on the recipe depth.  The cached
+    list holds the placeholder ?z for the fresh-variable candidate, which
+    is replaced by `gen_fresh_name` per call.
     """
-    cache = th._aux.setdefault("payload_cache", {})
+    memo = th.memo["payload_cache"]
     va, vb = _StateView.of(a), _StateView.of(b)
-    publics = _publics(va, vb)
-    ren = _generated_renaming(va.names | vb.names)
-    key = (va.key(ren, th), vb.key(ren, th),
-           tuple(ren.get(x, x) for x in publics), cfg.recipe_depth)
-    hit = cache.get(key)
+    key = (va, vb, cfg.recipe_depth)
+    hit = memo.get(key)
     if hit is None:
-        hit = cache[key] = _payload_candidates_raw(
-            va.renamed(ren, th), vb.renamed(ren, th), th, cfg, "?z")
-    back = _inverse(ren)
-    back["?z"] = Var(gen_fresh_name)
-    return [apply_map(r, back) for r in hit]
+        hit = memo[key] = _payload_candidates_raw(va, vb, th, cfg, "?z")
+    fresh = {"?z": Var(gen_fresh_name)}
+    return [apply_map(r, fresh) for r in hit]
 
 
 def _publics(a: _StateView, b: _StateView) -> tuple[str, ...]:
@@ -706,7 +658,7 @@ def _payload_candidates_raw(
     seen: set[tuple[Term, Term]] = {(frame_a.image(fresh, th),
                                      frame_b.image(fresh, th))}
     depth = cfg.recipe_depth
-    recipes_cache = th._aux.setdefault("recipes", {})
+    recipes_cache = th.memo["recipes"]
     lower_key = (frame_a.order, publics, gen_fresh_name, max(depth - 1, 0))
     lower = recipes_cache.get(lower_key)
     if lower is None:

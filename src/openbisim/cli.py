@@ -21,6 +21,7 @@ not the pair checked or whose mode is not the one asked for.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -79,11 +80,7 @@ def _theory(args) -> Theory:
     th = _read(args.theory, lambda text: parse_theory(text, name=name))
     if args.unify_bound is None:
         return th
-    return Theory(
-        name=th.name, signature=dict(th.signature), rules=th.rules,
-        unification_bound=args.unify_bound, rewrite_ceiling=th.rewrite_ceiling,
-        saturation_complete=th.saturation_complete,
-    )
+    return dataclasses.replace(th, unification_bound=args.unify_bound)
 
 
 def _config(args) -> CheckConfig:

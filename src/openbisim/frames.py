@@ -339,48 +339,16 @@ def deducible(
 def static_equiv(a: Frame, b: Frame, th: Theory, depth: int = 3) -> Verdict:
     """Decide static equivalence of two frames over a shared domain.
 
-    Verdicts are memoized in the theory's ``static_equiv`` table, keyed on
-    both frames with their domains and private names renamed positionally
-    and on the recipe depth; a distinguishing recipe pair is stored over
-    the renamed domain and renamed back per call."""
+    Verdicts are memoized in the theory's ``static_equiv`` table on the
+    exact frames and the recipe depth."""
     if a.domain != b.domain:
         raise ValueError("compared frames must share a domain")
-    cache = th._aux.setdefault("static_equiv", {})
-    cache_key = (_frame_key(a), _frame_key(b), depth)
-    hit = cache.get(cache_key)
-    if hit is not None:
-        if isinstance(hit, Distinguished):
-            from_canon = Substitution.of(
-                {f"%w{i}": Var(x) for i, x in enumerate(a.order)}
-            )
-            return Distinguished(from_canon(hit.left_recipe),
-                                 from_canon(hit.right_recipe), hit.equal_on)
-        return hit
-    verdict = _static_equiv(a, b, th, depth)
-    if isinstance(verdict, Distinguished):
-        to_canon = Substitution.of(
-            {x: Var(f"%w{i}") for i, x in enumerate(a.order)}
-        )
-        cache[cache_key] = Distinguished(
-            to_canon(verdict.left_recipe), to_canon(verdict.right_recipe),
-            verdict.equal_on,
-        )
-    else:
-        cache[cache_key] = verdict
+    memo = th.memo["static_equiv"]
+    key = (a, b, depth)
+    verdict = memo.get(key)
+    if verdict is None:
+        verdict = memo[key] = _static_equiv(a, b, th, depth)
     return verdict
-
-
-def _frame_key(f: Frame) -> tuple:
-    mapping = {x: f"%w{i}" for i, x in enumerate(f.order)}
-    for i, x in enumerate(sorted(f.privates)):
-        mapping[x] = f"%n{i}"
-    return tuple(_render_renamed(f.binding.get(x), mapping) for x in f.order)
-
-
-def _render_renamed(t: Term, mapping: dict[str, str]) -> str:
-    if isinstance(t, Var):
-        return mapping.get(t.name, t.name)
-    return f"{t.fn}({','.join([_render_renamed(s, mapping) for s in t.args])})"
 
 
 def _test_pairs(f: Frame, th: Theory) -> Iterator[tuple[Term, Term]]:

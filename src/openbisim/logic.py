@@ -27,7 +27,7 @@ from .bisim import (
     canonical_render_term, open_bisim_pi_check, pi_worlds, quasi_open_check,
     representative_worlds,
 )
-from .lts import History, early_transitions, late_transitions
+from .lts import History, NotPiFragment, early_transitions, late_transitions
 from .names import NameGen
 from .syntax import (
     ExtendedProcess, Process, bound_names, canonical_key,
@@ -476,6 +476,8 @@ def check_pi(
 ) -> Sat:
     """Three-valued satisfaction for the pi-fragment logic (late labels).
     The names the checker mints avoid every name of p, f and the history."""
+    if isinstance(p, ExtendedProcess):
+        raise NotPiFragment("check_pi covers the pi fragment only")
     fv = sorted(proc_free_vars(p) | {v for v in formula_vars(f) if not v.startswith("?")})
     h = history if history is not None else History.inputs_for(*fv)
     checker = _OMChecker(th, cfg)

