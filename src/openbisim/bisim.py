@@ -42,7 +42,7 @@ from .names import NameGen
 from .syntax import (
     ExtendedProcess, New, Process, bound_names, canonical_key, canonical_render,
     free_vars, guard_pairs, has_replication, is_pi_fragment, make_extended,
-    output_terms, promote, substitute, unfold_replication,
+    output_terms, promote, rename_apart, substitute, unfold_replication,
 )
 from .terms import (
     App, Substitution, Term, Theory, Var, apply_map, eq_mod,
@@ -1043,7 +1043,9 @@ def early_root(
     cfg: CheckConfig = CheckConfig(),
 ) -> tuple[ExtendedProcess, ExtendedProcess]:
     """The root pair of the early game of p and q: both promoted, their
-    replications unfolded cfg.unfold times, and normalized."""
+    replications unfolded cfg.unfold times, and normalized, with each
+    side's private names that are free in the other side renamed apart, so
+    that a private name is never taken for the other side's public one."""
     a, b = promote(p), promote(q)
     if has_replication(a.body) or has_replication(b.body):
         if cfg.unfold <= 0:
@@ -1058,7 +1060,9 @@ def early_root(
     b = make_extended(b.privates, b.frame, b.body, th, b.frame_order)
     if a.frame.domain != b.frame.domain:
         raise ValueError("compared processes must export the same frame domain")
-    return a, b
+    taken = _all_names(a) | _all_names(b)
+    a = rename_apart(a, b.free_variables(), taken)
+    return a, rename_apart(b, a.free_variables(), taken | set(a.privates))
 
 
 def quasi_open_check(

@@ -47,8 +47,8 @@ from .syntax import (
     pretty, pretty_extended, promote,
 )
 from .terms import (
-    ParseError, Term, TheoryError, Theory, Var, eq_mod, load_theory, parse_term,
-    parse_theory, render_term,
+    ParseError, Term, TheoryError, Theory, Var, eq_mod, free_vars, load_theory,
+    parse_term, parse_theory, render_term,
 )
 
 EX_OK, EX_NO, EX_UNKNOWN = 0, 1, 2
@@ -183,9 +183,9 @@ def render_strategy(s, indent: int = 0) -> str:
 
 def validate_strategy_text(text: str, th: Theory, cfg: CheckConfig) -> bool:
     """Re-check every leaf of an emitted strategy: static leaves must still
-    distinguish their frames, capability leaves must still be one-sided
-    (late-pi ones under their history).  A leaf line of another shape
-    raises ParseError."""
+    distinguish their frames, by recipes that name no private name of either
+    side; capability leaves must still be one-sided (late-pi ones under
+    their history).  A leaf line of another shape raises ParseError."""
     ok = True
     checked = 0
     for n, raw in enumerate(text.splitlines(), 1):
@@ -204,7 +204,9 @@ def validate_strategy_text(text: str, th: Theory, cfg: CheckConfig) -> bool:
             ea = eq_mod(a.frame(l), a.frame(r), th)
             eb = eq_mod(b.frame(l), b.frame(r), th)
             checked += 1
-            if ea == eb or (equal_on == "a") != ea:
+            # a recipe is the attacker's: it names no private name of a side
+            unusable = (free_vars(l) | free_vars(r)) & {*a.privates, *b.privates}
+            if ea == eb or (equal_on == "a") != ea or unusable:
                 ok = False
         elif line.startswith("capability ") and (" at " in line or " at-pi " in line):
             sep = " at " if " at " in line else " at-pi "

@@ -24,8 +24,8 @@ from typing import Iterable, Optional
 from .bisim import (
     Bisimilar, CapabilityLeaf, CheckConfig, MoveNode, RefineNode, StaticLeaf,
     Strategy, Unknown, WorldMove, _rename_frame_var, apply_world_move,
-    canonical_render_term, open_bisim_pi_check, pi_worlds, quasi_open_check,
-    representative_worlds,
+    canonical_render_term, early_root, open_bisim_pi_check, pi_worlds,
+    quasi_open_check, representative_worlds,
 )
 from .lts import History, NotPiFragment, early_transitions, late_transitions
 from .names import NameGen
@@ -791,6 +791,11 @@ def distinguish(
         return NotDistinguished()
     if isinstance(verdict, Unknown):
         return verdict
+
+    if cfg.mode != "late-pi":
+        # the game's root pair: a private name of one side is renamed apart
+        # from the other side's free names
+        p, q = early_root(p, q, th, cfg)
 
     def sat(proc, f):
         if cfg.mode == "late-pi":

@@ -1,13 +1,25 @@
 """Labelled transition systems.
 
-Early applied-pi transitions work on normal-form extended processes under an
-environment of private names.  Transitions surface observer-facing labels:
-channels appear as recipes through the frame (the alias device), outputs
-extend the frame at a fresh variable, and inputs come back symbolic, to be
-instantiated with caller-chosen recipe payloads.
+One interpreter, `_trans`, gives the one-step actions of a process: taus,
+outputs (with the restricted names they open) and inputs (with a fresh
+binder).  It runs under a scope, which makes the three decisions in which
+the two systems differ: how a mismatch is decided, how a restriction
+extends the scope, and whether a restriction whose name is not free in the
+residual is put back.
 
-The late system for the pi fragment carries a history of extruded names and
-inputs; mismatch is resolved through respectful substitutions.
+Early applied-pi transitions (`early_transitions`) work on normal-form
+extended processes under the private names: a mismatch is decided by
+`entails_neq` and a dead restriction is dropped.  Labels are
+observer-facing: channels appear as recipes through the frame (the alias
+device), outputs extend the frame at a fresh variable, and inputs come back
+symbolic, to be instantiated with caller-chosen recipe payloads.
+
+The late system for the pi fragment (`late_transitions`) runs under a
+history of extruded names and inputs, each restricted name appended as an
+extruded one: a mismatch holds when no respectful substitution equates its
+sides, and every restriction is kept.  Its labels map the steps: an output
+that opens its payload is a bound output, any other a free output, and an
+input is a late input.
 """
 
 from __future__ import annotations
@@ -19,8 +31,8 @@ from .frames import Frame, deducible
 from .names import NameGen
 from .syntax import (
     Choice, Deadlock, ExtendedProcess, Match, Mismatch, New, Parallel,
-    Process, Receive, Replicate, Send, TauPrefix, free_vars, has_replication,
-    is_pi_fragment, make_extended, substitute,
+    Process, Receive, Replicate, Send, TauPrefix, bound_names, free_vars,
+    has_replication, is_pi_fragment, make_extended, substitute,
 )
 from .terms import (
     Entailment, Substitution, Term, Theory, Var, entails_neq, eq_mod,
@@ -50,6 +62,9 @@ class NotPiFragment(Exception):
 class _Tau:
     residual: Process
 
+    def late(self) -> "LateTransition":
+        return LateTransition("tau", None, None, None, self.residual)
+
 
 @dataclass(frozen=True)
 class _Out:
@@ -58,6 +73,12 @@ class _Out:
     opened: tuple[str, ...]
     residual: Process
 
+    def late(self) -> "LateTransition":
+        if self.opened:
+            (binder,) = self.opened  # a pi payload is one name
+            return LateTransition("bound-out", self.chan, None, binder, self.residual)
+        return LateTransition("free-out", self.chan, self.payload, None, self.residual)
+
 
 @dataclass(frozen=True)
 class _In:
@@ -65,21 +86,40 @@ class _In:
     binder: str
     residual: Process
 
-
-def _wrap_news(names: Iterable[str], p: Process) -> Process:
-    for x in reversed(tuple(names)):
-        if x in free_vars(p):
-            p = New(x, p)
-    return p
+    def late(self) -> "LateTransition":
+        return LateTransition("late-in", self.chan, None, self.binder, self.residual)
 
 
-def _trans(env: frozenset[str], p: Process, th: Theory, gen: NameGen,
+@dataclass(frozen=True)
+class _Privates:
+    """The early scope: the private names.  A mismatch is decided by
+    entails_neq under them, and a restriction whose name is not free in the
+    residual is dropped."""
+
+    names: frozenset[str]
+
+    def neq(self, s: Term, t: Term, th: Theory) -> Entailment:
+        return entails_neq(self.names, s, t, th)
+
+    def restrict(self, x: str) -> "_Privates":
+        return _Privates(self.names | {x})
+
+    @staticmethod
+    def close(names: Iterable[str], p: Process) -> Process:
+        for x in reversed(tuple(names)):
+            if x in free_vars(p):
+                p = New(x, p)
+        return p
+
+
+def _trans(scope, p: Process, th: Theory, gen: NameGen,
            allow_replication: bool) -> tuple[list, bool]:
-    """All one-step actions of `p` under private names `env`.
+    """All one-step actions of `p` under `scope` (_Privates or _Extruded).
 
     Returns (steps, unknown) where unknown records that some mismatch guard
     was UNKNOWN, i.e. further transitions may exist that could not be
-    confirmed.
+    confirmed.  A restriction or an input mints its name before the
+    recursion, and a left operand is visited before the right one.
     """
     if isinstance(p, Deadlock):
         return [], False
@@ -93,21 +133,21 @@ def _trans(env: frozenset[str], p: Process, th: Theory, gen: NameGen,
         return [_In(p.channel, binder, residual)], False
     if isinstance(p, Match):
         if eq_mod(p.left, p.right, th):
-            return _trans(env, p.continuation, th, gen, allow_replication)
+            return _trans(scope, p.continuation, th, gen, allow_replication)
         return [], False
     if isinstance(p, Mismatch):
-        verdict = entails_neq(env, p.left, p.right, th)
+        verdict = scope.neq(p.left, p.right, th)
         if verdict is Entailment.HOLDS:
-            return _trans(env, p.continuation, th, gen, allow_replication)
+            return _trans(scope, p.continuation, th, gen, allow_replication)
         return [], verdict is Entailment.UNKNOWN
     if isinstance(p, New):
         fresh = gen.fresh(p.binder)
         cont = substitute(p.continuation, Substitution.of({p.binder: Var(fresh)}))
-        steps, unknown = _trans(env | {fresh}, cont, th, gen, allow_replication)
+        steps, unknown = _trans(scope.restrict(fresh), cont, th, gen, allow_replication)
         out = []
         for s in steps:
             if isinstance(s, _Tau):
-                out.append(_Tau(_wrap_news((fresh,), s.residual)))
+                out.append(_Tau(scope.close((fresh,), s.residual)))
             elif isinstance(s, _Out):
                 if fresh in term_free_vars(s.chan):
                     continue  # Res: bound name may not occur in the label
@@ -115,52 +155,38 @@ def _trans(env: frozenset[str], p: Process, th: Theory, gen: NameGen,
                     out.append(_Out(s.chan, s.payload, (fresh,) + s.opened, s.residual))
                 else:
                     out.append(_Out(s.chan, s.payload, s.opened,
-                                    _wrap_news((fresh,), s.residual)))
+                                    scope.close((fresh,), s.residual)))
             elif isinstance(s, _In):
                 if fresh in term_free_vars(s.chan):
                     continue
-                out.append(_In(s.chan, s.binder, _wrap_news((fresh,), s.residual)))
+                out.append(_In(s.chan, s.binder, scope.close((fresh,), s.residual)))
         return out, unknown
     if isinstance(p, Choice):
-        l, ul = _trans(env, p.left, th, gen, allow_replication)
-        r, ur = _trans(env, p.right, th, gen, allow_replication)
+        l, ul = _trans(scope, p.left, th, gen, allow_replication)
+        r, ur = _trans(scope, p.right, th, gen, allow_replication)
         return l + r, ul or ur
     if isinstance(p, Parallel):
-        l, ul = _trans(env, p.left, th, gen, allow_replication)
-        r, ur = _trans(env, p.right, th, gen, allow_replication)
-        out = []
-        for s in l:
-            out.append(_lift(s, p.right, right=True))
-        for s in r:
-            out.append(_lift(s, p.left, right=False))
-        out.extend(_close_pairs(l, r, th))
-        out.extend(_close_pairs(r, l, th, flipped=True))
+        l, ul = _trans(scope, p.left, th, gen, allow_replication)
+        r, ur = _trans(scope, p.right, th, gen, allow_replication)
+        out = [_lift(s, p.right, right=True) for s in l]
+        out += [_lift(s, p.left, right=False) for s in r]
+        # Com and Close: an output of one side meets an input of the other
+        out += [_Tau(scope.close(o.opened, Parallel(o.residual, received)))
+                for o, received in _comms(l, r, th)]
+        out += [_Tau(scope.close(o.opened, Parallel(received, o.residual)))
+                for o, received in _comms(r, l, th)]
         return out, ul or ur
     if isinstance(p, Replicate):
-        steps, unknown = _trans(env, p.body, th, gen, allow_replication)
+        steps, unknown = _trans(scope, p.body, th, gen, allow_replication)
         if not allow_replication:
             if steps:
                 raise ReplicationUnbounded(
                     "replication would fire and no unfolding budget remains"
                 )
             return [], unknown
-        out = []
-        for s in steps:
-            out.append(_lift(s, p, right=True))  # Rep-act: A | !P
-        for o in steps:
-            if not isinstance(o, _Out):
-                continue
-            for i in steps:
-                if not isinstance(i, _In):
-                    continue
-                if eq_mod(o.chan, i.chan, th):
-                    residual = Parallel(
-                        Parallel(o.residual,
-                                 substitute(i.residual,
-                                            Substitution.of({i.binder: o.payload}))),
-                        p,
-                    )
-                    out.append(_Tau(_wrap_news(o.opened, residual)))
+        out = [_lift(s, p, right=True) for s in steps]  # Rep-act: A | !P
+        out += [_Tau(scope.close(o.opened, Parallel(Parallel(o.residual, received), p)))
+                for o, received in _comms(steps, steps, th)]  # Rep-close
         return out, unknown
     raise TypeError(p)
 
@@ -176,22 +202,14 @@ def _lift(step, other: Process, right: bool):
     return _In(step.chan, step.binder, par(step.residual))
 
 
-def _close_pairs(outs, ins, th: Theory, flipped: bool = False):
-    """Close-l/r: a bound output meets an input on an equal channel."""
-    result = []
+def _comms(outs, ins, th: Theory):
+    """Each output of `outs` and input of `ins` on equal channels, with the
+    input's residual receiving the output's payload."""
     for o in outs:
-        if not isinstance(o, _Out):
-            continue
-        for i in ins:
-            if not isinstance(i, _In):
-                continue
-            if eq_mod(o.chan, i.chan, th):
-                instantiated = substitute(
-                    i.residual, Substitution.of({i.binder: o.payload})
-                )
-                pair = (instantiated, o.residual) if flipped else (o.residual, instantiated)
-                result.append(_Tau(_wrap_news(o.opened, Parallel(*pair))))
-    return result
+        if isinstance(o, _Out):
+            for i in ins:
+                if isinstance(i, _In) and eq_mod(o.chan, i.chan, th):
+                    yield o, substitute(i.residual, Substitution.of({i.binder: o.payload}))
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +283,8 @@ def early_transitions(
     unobservable and reported in dropped_channels.
     """
     gen = gen or NameGen()
-    env_all = frozenset(env) | set(ep.privates)
-    steps, unknown = _trans(env_all, ep.body, th, gen, allow_replication)
+    scope = _Privates(frozenset(env) | set(ep.privates))
+    steps, unknown = _trans(scope, ep.body, th, gen, allow_replication)
 
     transitions: list[Transition] = []
     inputs: list[InputSchema] = []
@@ -399,6 +417,27 @@ def history_entails_neq(h: History, s: Term, t: Term) -> bool:
 
 
 @dataclass(frozen=True)
+class _Extruded:
+    """The late scope: a history, to which each restricted name is appended
+    as extruded.  A mismatch holds when no substitution respecting the
+    history equates its sides, and every restriction is kept."""
+
+    h: History
+
+    def neq(self, s: Term, t: Term, th: Theory) -> Entailment:
+        return Entailment.HOLDS if history_entails_neq(self.h, s, t) else Entailment.FAILS
+
+    def restrict(self, x: str) -> "_Extruded":
+        return _Extruded(self.h.output(x))
+
+    @staticmethod
+    def close(names: Iterable[str], p: Process) -> Process:
+        for x in reversed(tuple(names)):
+            p = New(x, p)
+        return p
+
+
+@dataclass(frozen=True)
 class LateTransition:
     kind: str                 # "tau" | "free-out" | "bound-out" | "late-in"
     channel: Optional[Term]
@@ -416,109 +455,17 @@ class LateTransition:
         return f"{render_term(self.channel)}?({self.binder})"
 
 
-def _check_pi(p: Process) -> None:
+def late_transitions(h: History, p: Process, th: Theory,
+                     gen: Optional[NameGen] = None) -> list[LateTransition]:
+    """Late semantics for the finite pi-calculus with mismatch: the steps of
+    `_trans` under the history h.  `gen` must not mint a name of h or p;
+    when it is omitted, a generator that reserves them all is used."""
     if not is_pi_fragment(p):
         raise NotPiFragment("process uses theory function symbols")
     if has_replication(p):
         raise NotPiFragment("late transitions cover the finite pi fragment")
-
-
-def late_transitions(h: History, p: Process, th: Theory,
-                     gen: Optional[NameGen] = None) -> list[LateTransition]:
-    """Late semantics for the finite pi-calculus with mismatch."""
-    _check_pi(p)
-    gen = gen or NameGen()
-
-    def go(hist: History, q: Process) -> list[LateTransition]:
-        if isinstance(q, Deadlock):
-            return []
-        if isinstance(q, TauPrefix):
-            return [LateTransition("tau", None, None, None, q.continuation)]
-        if isinstance(q, Send):
-            return [LateTransition("free-out", q.channel, q.payload, None,
-                                   q.continuation)]
-        if isinstance(q, Receive):
-            binder = gen.fresh(q.binder)
-            residual = substitute(q.continuation,
-                                  Substitution.of({q.binder: Var(binder)}))
-            return [LateTransition("late-in", q.channel, None, binder, residual)]
-        if isinstance(q, Match):
-            if q.left == q.right:
-                return go(hist, q.continuation)
-            return []
-        if isinstance(q, Mismatch):
-            if history_entails_neq(hist, q.left, q.right):
-                return go(hist, q.continuation)
-            return []
-        if isinstance(q, New):
-            fresh = gen.fresh(q.binder)
-            cont = substitute(q.continuation,
-                              Substitution.of({q.binder: Var(fresh)}))
-            inner = go(hist.output(fresh), cont)
-            out = []
-            for s in inner:
-                if s.kind == "free-out" and s.payload == Var(fresh):
-                    if s.channel == Var(fresh):
-                        continue
-                    out.append(LateTransition("bound-out", s.channel, None,
-                                              fresh, s.target))
-                    continue
-                mentioned = set()
-                if s.channel is not None:
-                    mentioned |= term_free_vars(s.channel)
-                if s.payload is not None:
-                    mentioned |= term_free_vars(s.payload)
-                if fresh in mentioned:
-                    continue
-                out.append(LateTransition(s.kind, s.channel, s.payload, s.binder,
-                                          New(fresh, s.target)))
-            return out
-        if isinstance(q, Choice):
-            return go(hist, q.left) + go(hist, q.right)
-        if isinstance(q, Parallel):
-            left, right = go(hist, q.left), go(hist, q.right)
-            out = []
-            for s in left:
-                if s.binder is not None and s.binder in free_vars(q.right):
-                    continue
-                out.append(LateTransition(s.kind, s.channel, s.payload, s.binder,
-                                          Parallel(s.target, q.right)))
-            for s in right:
-                if s.binder is not None and s.binder in free_vars(q.left):
-                    continue
-                out.append(LateTransition(s.kind, s.channel, s.payload, s.binder,
-                                          Parallel(q.left, s.target)))
-            for o, i, swap in _comm_candidates(left, right):
-                if o.kind == "bound-out":
-                    body = Parallel(
-                        o.target,
-                        substitute(i.target, Substitution.of({i.binder: Var(o.binder)})),
-                    )
-                    if swap:
-                        body = Parallel(body.right, body.left)
-                    out.append(LateTransition("tau", None, None, None,
-                                              New(o.binder, body)))
-                else:
-                    body = Parallel(
-                        o.target,
-                        substitute(i.target, Substitution.of({i.binder: o.payload})),
-                    )
-                    if swap:
-                        body = Parallel(body.right, body.left)
-                    out.append(LateTransition("tau", None, None, None, body))
-            return out
-        raise TypeError(q)
-
-    def _comm_candidates(left, right):
-        for o in left:
-            if o.kind in ("free-out", "bound-out"):
-                for i in right:
-                    if i.kind == "late-in" and i.channel == o.channel:
-                        yield o, i, False
-        for o in right:
-            if o.kind in ("free-out", "bound-out"):
-                for i in left:
-                    if i.kind == "late-in" and i.channel == o.channel:
-                        yield o, i, True
-
-    return go(h, p)
+    if gen is None:
+        gen = NameGen()
+        gen.reserve(h.names() | free_vars(p) | bound_names(p))
+    steps, _ = _trans(_Extruded(h), p, th, gen, False)
+    return [s.late() for s in steps]

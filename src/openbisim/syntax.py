@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .terms import (
     App, ParseError, Reader, Substitution, Term, Theory, Var,
@@ -34,8 +34,8 @@ __all__ = [
     "Parallel", "Choice", "Replicate", "TauPrefix", "ExtendedProcess",
     "ParseError", "parse", "parse_process", "pretty", "free_vars",
     "alpha_canonicalize", "substitute", "alpha_equiv", "guard_pairs",
-    "make_extended", "compose_parallel", "DomainClash", "is_pi_fragment",
-    "has_replication", "canonical_render", "unfold_replication",
+    "make_extended", "compose_parallel", "rename_apart", "DomainClash",
+    "is_pi_fragment", "has_replication", "canonical_render", "unfold_replication",
 ]
 
 
@@ -584,6 +584,26 @@ def promote(p: Process | ExtendedProcess) -> ExtendedProcess:
     return ExtendedProcess(tuple(privates), Substitution.identity(), q)
 
 
+def rename_apart(ep: ExtendedProcess, clash: Iterable[str],
+                 taken: Iterable[str] = ()) -> ExtendedProcess:
+    """`ep` with each private name in `clash` renamed (alpha-conversion) to a
+    name outside `clash`, `taken` and the private names of `ep`."""
+    avoid = set(clash)
+    ren: dict[str, str] = {}
+    for x in ep.privates:
+        if x in avoid:
+            ren[x] = _fresh_avoiding(x, avoid | set(taken) | set(ren.values())
+                                     | set(ep.privates))
+    if not ren:
+        return ep
+    sub = Substitution.of({x: Var(y) for x, y in ren.items()})
+    return ExtendedProcess(
+        tuple(ren.get(x, x) for x in ep.privates),
+        Substitution.of({x: sub(t) for x, t in ep.frame.bindings}),
+        substitute(ep.body, sub), ep.frame_order,
+    )
+
+
 def compose_parallel(a: ExtendedProcess, b: ExtendedProcess) -> ExtendedProcess:
     """Normal-form parallel composition with capture-avoiding renaming of the
     private names (defined only for disjoint frame domains)."""
@@ -592,32 +612,14 @@ def compose_parallel(a: ExtendedProcess, b: ExtendedProcess) -> ExtendedProcess:
         raise DomainClash(f"frame domains overlap on {', '.join(clash)}")
 
     avoid = set(a.free_variables()) | set(b.free_variables()) | set(b.privates)
-    ren_a: dict[str, str] = {}
-    for x in a.privates:
-        if x in avoid:
-            y = _fresh_avoiding(x, avoid | set(ren_a.values()) | set(a.privates))
-            ren_a[x] = y
-    sub_a = Substitution.of({x: Var(y) for x, y in ren_a.items()})
-    a_priv = tuple(ren_a.get(x, x) for x in a.privates)
-    a_frame = Substitution.of({x: sub_a(t) for x, t in a.frame.bindings})
-    a_body = substitute(a.body, sub_a)
-
-    avoid2 = avoid | set(a_priv) | {v for x, t in a_frame.bindings for v in term_free_vars(t)}
-    ren_b: dict[str, str] = {}
-    for x in b.privates:
-        if x in avoid2 or x in a_priv:
-            y = _fresh_avoiding(x, avoid2 | set(ren_b.values()) | set(b.privates))
-            ren_b[x] = y
-    sub_b = Substitution.of({x: Var(y) for x, y in ren_b.items()})
-    b_priv = tuple(ren_b.get(x, x) for x in b.privates)
-    b_frame = Substitution.of({x: sub_b(t) for x, t in b.frame.bindings})
-    b_body = substitute(b.body, sub_b)
-
-    merged = Substitution(tuple(a_frame.bindings) + tuple(b_frame.bindings))
+    a = rename_apart(a, avoid)
+    b = rename_apart(b, avoid | set(a.privates)
+                     | {v for _, t in a.frame.bindings for v in term_free_vars(t)})
+    merged = Substitution(tuple(a.frame.bindings) + tuple(b.frame.bindings))
     if not merged.is_idempotent():
         raise DomainClash("merged frame is not idempotent")
     return ExtendedProcess(
-        a_priv + b_priv, merged, Parallel(a_body, b_body),
+        a.privates + b.privates, merged, Parallel(a.body, b.body),
         a.frame_order + b.frame_order,
     )
 

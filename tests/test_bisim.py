@@ -7,8 +7,9 @@ from openbisim.bisim import (
     RelationWitness, StaticLeaf, Unknown, open_bisim_pi_check,
     quasi_open_check, validate_witness,
 )
+from openbisim.logic import distinguish, formula_alpha_equiv
 from openbisim.lts import NotPiFragment, ReplicationUnbounded, barbs
-from openbisim.syntax import parse_process, pretty, promote
+from openbisim.syntax import parse, parse_process, pretty, promote
 from openbisim.terms import dy_asym, dy_blind, parse_theory, THEORY_SOURCES
 
 TH = dy_asym()
@@ -217,6 +218,30 @@ def test_every_bisimilar_verdict_validates():
         assert validate_witness(v.witness, TH, CFG), (l, r)
 
 
+@pytest.mark.parametrize("left,right,twin", [
+    ("out(c, k). 0", "new k. out(c, k). 0", "new j. out(c, j). 0"),
+    ("{w = k}", "new k. {w = k}", "new j. {w = j}"),
+])
+def test_alpha_variant_roots_get_one_verdict(left, right, twin):
+    # the right side's private k is not the left side's public k: the pair
+    # and its twin, which spells that private name j, are told apart alike
+    results = []
+    for r in (right, twin):
+        v = quasi_open_check(parse(left), parse(r), TH, CFG)
+        results.append((type(v), distinguish(parse(left), parse(r), TH, CFG)))
+    (v1, (fl1, fr1)), (v2, (fl2, fr2)) = results
+    assert v1 is v2 is DistinguishedVerdict
+    assert formula_alpha_equiv(fl1, fl2) and formula_alpha_equiv(fr1, fr2)
+
+
+def test_root_private_name_renamed_apart_keeps_the_witness_valid():
+    l, r = "new j. out(c, j). [k = k] 0", "new k. out(c, k). 0"
+    v = check(l, r)
+    assert isinstance(v, Bisimilar)
+    assert set(v.witness.root[1].privates).isdisjoint(v.witness.root[0].free_variables())
+    assert validate_witness(v.witness, TH, CFG)
+
+
 # ---------------------------------------------------------------------------
 # Replication handling
 
@@ -331,7 +356,7 @@ from openbisim.bisim import (
 )
 from openbisim.frames import Frame
 from openbisim.names import NameGen
-from openbisim.syntax import make_extended, parse, substitute
+from openbisim.syntax import make_extended, substitute
 from openbisim.terms import (
     App, NonTermination, RewriteRule, Substitution, Theory, Var,
     _generated_renaming, free_vars, load_theory, normalize, parse_term,
@@ -582,7 +607,6 @@ def test_recipe_images_are_faithful(name, sweep):
 # The unifier table up to renaming, and the lean legality test of payloads
 
 from openbisim import bisim, terms
-from openbisim.logic import distinguish
 from openbisim.terms import apply_map, free_vars, syntactic_unify, unify_mod
 
 RECORDED = ("aenc-under-refinement", "lem-choice", "pair-mismatch-worlds",

@@ -218,6 +218,23 @@ def test_emit_strategy_revalidates(tmp_path):
     assert code2 == 0 and "valid" in out
 
 
+def test_static_leaf_naming_a_private_name_is_invalid(tmp_path):
+    left, right, s = tmp_path / "l.pi", tmp_path / "r.pi", tmp_path / "s.txt"
+    left.write_text("new k. {w = k}\n")
+    right.write_text("new k, j. {w = j}\n")
+    args = ["check-bisim", str(left), str(right), THY]
+    assert run(args)[:2] == (0, "bisimilar (witness of 1 pairs)\n")
+    # a forged leaf: the attacker cannot use the left side's private k
+    s.write_text("static k vs w equal-on a at new k. {w = k} ~~ new j. {w = j}\n")
+    assert run(args + ["--validate", str(s)])[:2] == (1, "invalid\n")
+    # the leaf the checker emits for a public k against a private one holds
+    left.write_text("{w = k}\n")
+    right.write_text("new k. {w = k}\n")
+    code, out, _ = run(args + ["--emit-strategy", str(s)])
+    assert code == 1 and "static w vs k" in out
+    assert run(args + ["--validate", str(s)])[:2] == (0, "valid\n")
+
+
 def test_json_output():
     code, out, _ = run(["check-bisim", corpus_path("mobility_l.pi"),
                         corpus_path("mobility_r.pi"), THY,

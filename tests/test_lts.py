@@ -3,7 +3,9 @@
 import itertools
 
 import pytest
+from test_golden import PI_NAMES, _Choices, _pi_process
 
+from openbisim.bisim import pi_worlds
 from openbisim.lts import (
     History, NotPiFragment, ReplicationUnbounded, barbs, early_transitions,
     history_entails_neq, late_transitions, respects,
@@ -11,7 +13,8 @@ from openbisim.lts import (
 from openbisim.names import NameGen
 from openbisim.syntax import (
     Choice, Deadlock, Match, Mismatch, New, Parallel, Process, Receive, Send,
-    TauPrefix, alpha_equiv, parse, parse_process, pretty, promote, substitute,
+    TauPrefix, alpha_equiv, bound_names, free_vars, parse, parse_process, pretty,
+    promote, substitute,
 )
 from openbisim.terms import Substitution, Var, dy_asym, normalize, parse_term
 
@@ -237,6 +240,47 @@ def test_late_rejects_theory_symbols():
         L(History(), "out(a, hash(x)). 0")
 
 
+def test_late_step_keeps_a_dead_restriction():
+    # the late system puts every restriction back; PI_DIGESTS[17] in
+    # test_golden.py (and 19 and 29) moves when it drops one
+    h = History.inputs_for("a", "x")
+    [t] = L(h, "new z. tau. out(a, x). 0")
+    assert (t.kind, pretty(t.target)) == ("tau", "new z#1. out(a, x). 0")
+
+
+def test_early_step_drops_a_dead_restriction():
+    # the early system drops a restriction whose name the residual lost;
+    # no digest of test_golden.py moves when it keeps one (the hash-and-sign
+    # digest included), so this case is the only pin of that policy
+    ts = early_transitions(frozenset(), _ep("in(b, y). 0 | new z. tau. out(a, x). 0"), TH)
+    [t] = [t for t in ts.transitions if t.label.kind == "tau"]
+    assert pretty(t.target.body) == "in(b, y). 0 | out(a, x). 0"
+    assert t.target.privates == ()
+
+
+def _label(t, sub=Substitution.identity()):
+    """What a late transition offers an observer, its binder left out."""
+    return (t.kind, None if t.channel is None else sub(t.channel),
+            None if t.payload is None else sub(t.payload))
+
+
+def test_late_transitions_survive_world_moves():
+    # the paper's monotonicity: no respectful substitution and no extra
+    # name distinction disables a transition previously enabled
+    moves = 0
+    for p in map(parse_process, _SEEDED):
+        h = History.inputs_for(*sorted(free_vars(p)))
+        gen = NameGen()
+        gen.reserve(free_vars(p) | bound_names(p))
+        enabled = late_transitions(h, p, TH, gen)
+        for mv, h2 in pi_worlds(h, (p,), gen):
+            moves += 1
+            after = {_label(t) for t in late_transitions(h2, substitute(p, mv.sigma), TH, gen)}
+            for t in enabled:
+                assert _label(t, mv.sigma) in after, (pretty(p), mv.describe())
+    assert moves >= 400
+
+
 # ---------------------------------------------------------------------------
 # Agreement with the classical late LTS on grounding histories
 
@@ -314,6 +358,12 @@ def classical_late(p: Process, gen: NameGen):
     raise TypeError(p)
 
 
+# the seeded shapes of the pinned pi pairs: nested restrictions, bound
+# outputs under parallel composition, close-communications
+_SEEDED = [_pi_process(_Choices(seed), 3, PI_NAMES, itertools.count())
+           for seed in range(300)]
+
+
 def _grounding_corpus():
     xs, ys = ["x", "y"], ["y", "z"]
     atoms = []
@@ -326,15 +376,16 @@ def _grounding_corpus():
     for a, b in itertools.islice(itertools.combinations(atoms, 2), 16):
         combos.append(f"({a}) | ({b})")
         combos.append(f"({a}) + ({b})")
-    return (atoms + combos + [
+    hand_written = (atoms + combos + [
         "new z. out(x, z). [x != z] tau. 0",
         "new a. (out(a, x). 0 | in(a, w). tau. 0)",
     ])[:40]
+    return hand_written + _SEEDED
 
 
 def test_late_agrees_with_classical_on_grounded_processes():
     corpus = _grounding_corpus()
-    assert len(corpus) >= 30
+    assert len(corpus) >= 330
     for src in corpus:
         p = parse_process(src)
         fv = sorted(__import__("openbisim.syntax", fromlist=["free_vars"]).free_vars(p))
