@@ -20,6 +20,11 @@ from openbisim.terms import Substitution, Var, dy_asym, normalize, parse_term
 
 TH = dy_asym()
 
+# the seeded shapes of the pinned pi pairs: nested restrictions, bound
+# outputs under parallel composition, close-communications
+_SEEDED = [_pi_process(_Choices(seed), 3, PI_NAMES, itertools.count())
+           for seed in range(300)]
+
 
 def EP(src):
     return promote(parse(src)) if not src.strip().startswith(("{", "new")) else _ep(src)
@@ -356,12 +361,6 @@ def classical_late(p: Process, gen: NameGen):
     if isinstance(p, Choice):
         return classical_late(p.left, gen) + classical_late(p.right, gen)
     raise TypeError(p)
-
-
-# the seeded shapes of the pinned pi pairs: nested restrictions, bound
-# outputs under parallel composition, close-communications
-_SEEDED = [_pi_process(_Choices(seed), 3, PI_NAMES, itertools.count())
-           for seed in range(300)]
 
 
 def _grounding_corpus():
