@@ -35,8 +35,9 @@ from .frames import (
     enumerate_recipes,
 )
 from .lts import (
-    History, InputSchema, NotPiFragment, ReplicationUnbounded, Transition,
-    early_transitions, late_transitions, respects,
+    History, InputSchema, Label, NotPiFragment, ReplicationUnbounded,
+    early_answers, early_transitions, late_answers, late_transitions,
+    rename_frame_var, respects,
 )
 from .names import NameGen
 from .syntax import (
@@ -45,8 +46,8 @@ from .syntax import (
     output_terms, promote, rename_apart, substitute, unfold_replication,
 )
 from .terms import (
-    App, Substitution, Term, Theory, Var, apply_map, eq_mod,
-    free_vars as term_free_vars, match_term, normalize, render_term,
+    App, Substitution, Term, Theory, Var, apply_map,
+    free_vars as term_free_vars, match_term, render_term,
     solved_unifier, subterms, syntactic_unify, unify_mod,
 )
 
@@ -115,8 +116,7 @@ class StaticLeaf:
 @dataclass(frozen=True)
 class CapabilityLeaf:
     side: int                 # 0: left moves, 1: right moves
-    label: str
-    label_data: tuple = ()
+    label: Label
     node: tuple = ()
 
 
@@ -129,8 +129,7 @@ class RefineNode:
 @dataclass(frozen=True)
 class MoveNode:
     side: int
-    label: str
-    label_data: tuple
+    label: Label
     children: tuple["Strategy", ...]   # one per opposing reply
 
 
@@ -696,8 +695,7 @@ def _payload_candidates_raw(
 @dataclass(slots=True)
 class _SideMove:
     side: int
-    label: str
-    label_data: tuple            # structured label for formula generation
+    label: Label
     replies: list                # (child key, minted successor pair or None)
     reply_complete: bool         # False if the replier's set may be incomplete
 
@@ -853,18 +851,18 @@ def _build_strategy(game: _Game, killed, *state) -> Strategy:
                 return RefineNode(mv2, _build_strategy(game, killed, *pair))
         raise AssertionError("replayed node lost its refine edge")
     _, m = cert
-    want = (m.side, m.label_data[0], frozenset(m.reply_keys()))
+    want = (m.side, m.label.kind, frozenset(m.reply_keys()))
     for m2 in node.side_moves:
-        if (m2.side, m2.label_data[0], frozenset(m2.reply_keys())) != want:
+        if (m2.side, m2.label.kind, frozenset(m2.reply_keys())) != want:
             continue
         if not all(k in killed for k in m2.reply_keys()):
             continue
         if not m2.replies:
-            return CapabilityLeaf(m2.side, m2.label, m2.label_data, node=state)
+            return CapabilityLeaf(m2.side, m2.label, node=state)
         children = tuple(
             _build_strategy(game, killed, *pair) for _, pair in m2.replies
         )
-        return MoveNode(m2.side, m2.label, m2.label_data, children)
+        return MoveNode(m2.side, m2.label, children)
     raise AssertionError("replayed node lost its killing move")
 
 
@@ -888,18 +886,6 @@ class _Node:
     side_moves: list = field(default_factory=list)
     taint: Optional[str] = None
     frontier: bool = False
-
-
-def _rename_frame_var(ep: ExtendedProcess, old: str, new: str) -> ExtendedProcess:
-    if old == new:
-        return ep
-    ren = Substitution.of({old: Var(new)})
-    frame = Substitution(
-        tuple((new if x == old else x, ren(t)) for x, t in ep.frame.bindings)
-    )
-    order = tuple(new if x == old else x for x in ep.frame_order)
-    body = substitute(ep.body, ren)
-    return ExtendedProcess(ep.privates, frame, body, order)
 
 
 class _EarlyGame(_Game):
@@ -969,45 +955,21 @@ class _EarlyGame(_Game):
                 got = child_keys[ids] = (self._child(*pair, node.depth + 1), pair)
             return (got[0], pair if keep_pairs else None)
 
-        for side, mine, theirs, my_ep, their_ep in (
-            (0, ts_a, ts_b, a, b),
-            (1, ts_b, ts_a, b, a),
-        ):
+        for side, mine, theirs, their_ep in ((0, ts_a, ts_b, b), (1, ts_b, ts_a, a)):
             reply_complete = not theirs.unknown
             for t in mine.transitions:
-                if t.label.kind == "tau":
-                    replies = []
-                    for r in theirs.transitions:
-                        if r.label.kind != "tau":
-                            continue
-                        pair = (t.target, r.target) if side == 0 else (r.target, t.target)
-                        replies.append(reply(pair))
-                    node.side_moves.append(_SideMove(
-                        side, "tau", ("tau",), replies, reply_complete,
-                    ))
-                else:
-                    # bound output labelled by the mover's channel recipe
-                    recipe = t.label.channel
-                    u = t.label.binder
-                    replies = []
-                    for r in theirs.transitions:
-                        if r.label.kind != "out":
-                            continue
-                        if not self._chan_match(recipe, their_ep, r):
-                            continue
-                        r_target = _rename_frame_var(r.target, r.label.binder, u)
-                        pair = (t.target, r_target) if side == 0 else (r_target, t.target)
-                        replies.append(reply(pair))
-                    node.side_moves.append(_SideMove(
-                        side, f"{render_term(recipe)}!({u})",
-                        ("out", recipe, u), replies, reply_complete,
-                    ))
+                # a bound output is answered at the mover's frame variable
+                replies = []
+                for r in early_answers(t.label, their_ep, theirs, th):
+                    r_target = r.target
+                    if t.label.kind == "out":
+                        r_target = rename_frame_var(r.target, r.label.binder, t.label.binder)
+                    pair = (t.target, r_target) if side == 0 else (r_target, t.target)
+                    replies.append(reply(pair))
+                node.side_moves.append(_SideMove(side, t.label, replies, reply_complete))
             for schema in mine.inputs:
                 assert payloads is not None
-                matching = [
-                    s2 for s2 in theirs.inputs
-                    if self._schema_match(schema.channel, their_ep, s2)
-                ]
+                matching = early_answers(Label("in", schema.channel), their_ep, theirs, th)
                 for payload in payloads:
                     target = instantiate(schema, payload)
                     replies = []
@@ -1016,24 +978,15 @@ class _EarlyGame(_Game):
                         pair = (target, r_target) if side == 0 else (r_target, target)
                         replies.append(reply(pair))
                     node.side_moves.append(_SideMove(
-                        side,
-                        f"{render_term(schema.channel)}?{render_term(payload)}",
-                        ("in", schema.channel, payload), replies, reply_complete,
+                        side, Label("in", schema.channel, payload), replies, reply_complete,
                     ))
 
     def _transitions(self, ep: ExtendedProcess):
         ts = self._trans_cache.get(ep)
         if ts is None:
-            ts = early_transitions(frozenset(), ep, self.th, self.gen)
+            ts = early_transitions(ep, self.th, self.gen)
             self._trans_cache[ep] = ts
         return ts
-
-    def _chan_match(self, recipe: Term, their_ep: ExtendedProcess,
-                    r: Transition | InputSchema) -> bool:
-        img = normalize(their_ep.frame(recipe), self.th)
-        return eq_mod(img, r.raw_channel, self.th)
-
-    _schema_match = _chan_match
 
 
 def early_root(
@@ -1357,34 +1310,21 @@ class _PiGame(_Game):
         steps_q = late_transitions(node.h, node.q, self.th, gen)
         for side, mine, theirs in ((0, steps_p, steps_q), (1, steps_q, steps_p)):
             for t in mine:
+                # a bound output or late input is answered at the mover's binder
+                binder = t.label.binder
+                h2 = node.h.after(t.label)
                 replies = []
-                h2 = self._extend_history(node.h, t)
-                for r in theirs:
-                    if r.kind != t.kind or r.channel != t.channel:
-                        continue
-                    if t.kind == "free-out" and r.payload != t.payload:
-                        continue
+                for r in late_answers(t.label, theirs):
                     r_target = r.target
-                    if t.binder is not None:
+                    if binder is not None:
                         r_target = substitute(
-                            r.target, Substitution.of({r.binder: Var(t.binder)})
+                            r.target, Substitution.of({r.label.binder: Var(binder)})
                         )
                     pair = (t.target, r_target) if side == 0 else (r_target, t.target)
                     minted = (h2,) + pair
                     replies.append((self._child(*minted, node.depth + 1),
                                     minted if keep_pairs else None))
-                label_data = (t.kind, t.channel, t.payload, t.binder)
-                node.side_moves.append(_SideMove(
-                    side, t.rendered(), label_data, replies, True,
-                ))
-
-    @staticmethod
-    def _extend_history(h: History, t) -> History:
-        if t.kind == "bound-out":
-            return h.output(t.binder)
-        if t.kind == "late-in":
-            return h.input(Var(t.binder))
-        return h
+                node.side_moves.append(_SideMove(side, t.label, replies, True))
 
 
 def _pi_root(p: Process, q: Process) -> tuple[NameGen, History]:

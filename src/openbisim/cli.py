@@ -36,7 +36,7 @@ from .bisim import (
     open_bisim_pi_check, quasi_open_check, validate_witness,
 )
 from .frames import Distinguished, Equivalent, Frame, static_equiv
-from .lts import History, NotPiFragment, ReplicationUnbounded, early_transitions
+from .lts import History, Label, NotPiFragment, ReplicationUnbounded, early_transitions
 from .logic import (
     Formula, NotDistinguished, Sat, SelfCheckFailed, UnhousedVariable, check,
     check_pi, distinguish, parse_formula, pretty_formula,
@@ -169,12 +169,12 @@ def render_strategy(s, indent: int = 0) -> str:
             h, p, q = s.node
             at = f" at-pi {h.rendered()} : {pretty(p)} ~~ {pretty(q)}"
         side = "left" if s.side == 0 else "right"
-        return f"{pad}capability {side} {s.label}{at}\n"
+        return f"{pad}capability {side} {s.label.rendered()}{at}\n"
     if isinstance(s, RefineNode):
         return f"{pad}refine {s.move.describe()}\n" + render_strategy(s.child, indent + 1)
     if isinstance(s, MoveNode):
         side = "left" if s.side == 0 else "right"
-        out = f"{pad}move {side} {s.label}\n"
+        out = f"{pad}move {side} {s.label.rendered()}\n"
         for c in s.children:
             out += render_strategy(c, indent + 1)
         return out
@@ -401,8 +401,7 @@ def cmd_trace(args) -> int:
         if depth >= args.depth:
             return
         try:
-            ts = early_transitions(frozenset(), state, th, gen,
-                                   allow_replication=args.unfold > 0)
+            ts = early_transitions(state, th, gen, allow_replication=args.unfold > 0)
         except ReplicationUnbounded:
             lines.append(pad + "  (replication: pass --unfold to expand)")
             return
@@ -410,11 +409,10 @@ def cmd_trace(args) -> int:
             lines.append(f"{pad}  --{t.label.rendered()}--> {pretty_extended(t.target)}")
             walk(t.target, depth + 1)
         for schema in ts.inputs:
-            payload = gen.fresh("z")
-            target = schema.instantiate(Var(payload))
-            lines.append(
-                f"{pad}  --{render_term(schema.channel)}?{payload}--> {pretty_extended(target)}"
-            )
+            payload = Var(gen.fresh("z"))
+            target = schema.instantiate(payload)
+            label = Label("in", schema.channel, payload)
+            lines.append(f"{pad}  --{label.rendered()}--> {pretty_extended(target)}")
             walk(target, depth + 1)
 
     walk(ep, 0)

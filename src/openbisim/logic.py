@@ -1,13 +1,17 @@
 """Intuitionistic modal formulas, the satisfaction checker, and
 distinguishing-formula generation from game strategies.
 
-Two modes share the formula syntax:
+A modality is indexed by `lts.Label`, the type the transition systems
+label their steps with.  Two modes share the formula syntax:
 
   * applied-pi mode: formulas over extended processes, early labels
-    (tau, free input ``C?N``, bound output ``C!(x)``);
+    (tau, input ``C?N``, bound output ``C!(x)``);
   * pi mode (late): formulas over plain pi processes under a history, late
-    labels (adds free output ``C!N`` and late input ``C?(x)``).
+    labels (tau, free output ``C!N``, bound output ``C!(x)``, late input
+    ``C?(x)``).
 
+A mode answers a modality's label by its system's rule in `lts`
+(`early_answers`, `late_answers`), the rule the game answers a move by.
 Implication and box quantify over the representative world refinements
 shared with the game solver; the diamond needs no world quantification (no
 refinement can disable an enabled transition).  Satisfaction is three-valued:
@@ -18,16 +22,19 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .bisim import (
     Bisimilar, CapabilityLeaf, CheckConfig, MoveNode, RefineNode, StaticLeaf,
-    Strategy, Unknown, WorldMove, _rename_frame_var, apply_world_move,
-    canonical_render_term, early_root, open_bisim_pi_check, pi_worlds,
-    quasi_open_check, representative_worlds,
+    Strategy, Unknown, WorldMove, apply_world_move, canonical_render_term,
+    early_root, open_bisim_pi_check, pi_worlds, quasi_open_check,
+    representative_worlds,
 )
-from .lts import History, NotPiFragment, early_transitions, late_transitions
+from .lts import (
+    History, Label, NotPiFragment, early_answers, early_transitions,
+    late_answers, late_transitions, rename_frame_var,
+)
 from .names import NameGen
 from .syntax import (
     ExtendedProcess, Process, bound_names, canonical_key,
@@ -35,13 +42,12 @@ from .syntax import (
     substitute,
 )
 from .terms import (
-    Reader, Substitution, Term, Theory, Var, eq_mod, free_vars, normalize,
-    render_term,
+    Reader, Substitution, Term, Theory, Var, eq_mod, free_vars, render_term,
 )
 
 __all__ = [
     "Formula", "Top", "Bottom", "Equal", "And", "Or", "Implies", "Diamond",
-    "Box", "LabelPat", "Sat", "UnhousedVariable", "SelfCheckFailed",
+    "Box", "Sat", "UnhousedVariable", "SelfCheckFailed",
     "NotDistinguished", "check", "check_pi", "distinguish", "parse_formula",
     "pretty_formula", "neq", "formula_alpha_equiv",
 ]
@@ -109,22 +115,14 @@ class Implies(Formula):
 
 
 @dataclass(frozen=True)
-class LabelPat:
-    kind: str                       # tau | in | out | free-out | late-in
-    channel: Optional[Term] = None
-    payload: Optional[Term] = None  # in / free-out
-    binder: Optional[str] = None    # out / late-in
-
-
-@dataclass(frozen=True)
 class Diamond(Formula):
-    label: LabelPat
+    label: Label
     body: Formula
 
 
 @dataclass(frozen=True)
 class Box(Formula):
-    label: LabelPat
+    label: Label
     body: Formula
 
 
@@ -189,7 +187,7 @@ def subst_formula(f: Formula, sub: Substitution) -> Formula:
             while fresh in inner_sub.range_vars() or fresh in formula_vars(f.body):
                 fresh += "'"
             body = subst_formula(f.body, Substitution.of({lab.binder: Var(fresh)}))
-            lab = LabelPat(lab.kind, lab.channel, lab.payload, fresh)
+            lab = replace(lab, binder=fresh)
             return type(f)(lab, subst_formula(body, inner_sub))
     return type(f)(lab, subst_formula(f.body, inner_sub))
 
@@ -361,46 +359,35 @@ class _FMChecker(_Checker):
         return [(apply_world_move(ep, mv, self.th), mv.formula_sigma())
                 for mv in moves], truncated
 
-    def _matching(self, ep: ExtendedProcess, lab: LabelPat, body: Formula):
-        """(successor, instantiated body) pairs matching the label; the flag
-        reports completeness of the enumeration."""
+    def _matching(self, ep: ExtendedProcess, lab: Label, body: Formula):
+        """(successor, instantiated body) pairs of the transitions that
+        answer the label (lts.early_answers); the flag reports completeness
+        of the enumeration.  A bound output's exported variable is renamed
+        to a fresh name, which the body's binder takes."""
         th = self.th
-        ts = early_transitions(frozenset(), ep, th, self.gen)
+        ts = early_transitions(ep, th, self.gen)
         complete = not ts.unknown
         if ts.dropped_channels and not th.saturation_complete:
             complete = False
+        if lab.kind not in ("tau", "out", "in"):
+            raise UnhousedVariable(f"label kind {lab.kind!r} needs the late-pi mode")
+        if lab.kind == "in" and free_vars(lab.payload) & set(ep.privates):
+            return [], complete
         out = []
-        if lab.kind == "tau":
-            for t in ts.transitions:
-                if t.label.kind == "tau":
-                    out.append((t.target, body))
-            return out, complete
-        if lab.kind == "out":
-            want = normalize(ep.frame(lab.channel), th)
-            for t in ts.transitions:
-                if t.label.kind != "out":
-                    continue
-                if not eq_mod(want, t.raw_channel, th):
-                    continue
-                fresh = self.gen.fresh(lab.binder or "u")
-                target = _rename_frame_var(t.target, t.label.binder, fresh)
+        for t in early_answers(lab, ep, ts, th):
+            if lab.kind == "tau":
+                out.append((t.target, body))
+            elif lab.kind == "in":
+                out.append((t.instantiate(lab.payload), body))
+            else:
+                fresh = self.gen.fresh(lab.binder)
                 inst = subst_formula(body, Substitution.of({lab.binder: Var(fresh)}))
-                out.append((target, inst))
-            return out, complete
-        if lab.kind == "in":
-            want = normalize(ep.frame(lab.channel), th)
-            payload = lab.payload
-            if free_vars(payload) & set(ep.privates):
-                return [], complete
-            for schema in ts.inputs:
-                if eq_mod(want, schema.raw_channel, th):
-                    out.append((schema.instantiate(payload), body))
-            return out, complete
-        raise UnhousedVariable(f"label kind {lab.kind!r} needs the late-pi mode")
+                out.append((rename_frame_var(t.target, t.label.binder, fresh), inst))
+        return out, complete
 
 
-def _subst_label(lab: LabelPat, sub: Substitution) -> LabelPat:
-    return LabelPat(
+def _subst_label(lab: Label, sub: Substitution) -> Label:
+    return Label(
         lab.kind,
         sub(lab.channel) if lab.channel is not None else None,
         sub(lab.payload) if lab.payload is not None else None,
@@ -449,24 +436,20 @@ class _OMChecker(_Checker):
         return [((h2, substitute(p, mv.sigma)), mv.sigma)
                 for mv, h2 in pi_worlds(h, (p,), self.gen, extra, names)], False
 
-    def _matching(self, state: tuple[History, Process], lab: LabelPat, body: Formula):
-        """Pi successors are always complete."""
+    def _matching(self, state: tuple[History, Process], lab: Label, body: Formula):
+        """The successors of the steps that answer the label
+        (lts.late_answers); a binder is renamed to a fresh name, which the
+        history and the body take.  Pi successors are always complete."""
         h, p = state
         out = []
-        for t in late_transitions(h, p, self.th, self.gen):
-            if lab.kind == "tau" and t.kind == "tau":
+        for t in late_answers(lab, late_transitions(h, p, self.th, self.gen)):
+            if lab.binder is None:
                 out.append(((h, t.target), body))
-            elif lab.kind == "free-out" and t.kind == "free-out":
-                if t.channel == lab.channel and t.payload == lab.payload:
-                    out.append(((h, t.target), body))
-            elif (lab.kind, t.kind) in (("out", "bound-out"), ("late-in", "late-in")):
-                if t.channel == lab.channel:
-                    bound_out = lab.kind == "out"
-                    fresh = self.gen.fresh(lab.binder or ("z" if bound_out else "y"))
-                    tgt = substitute(t.target, Substitution.of({t.binder: Var(fresh)}))
-                    b = subst_formula(body, Substitution.of({lab.binder: Var(fresh)}))
-                    h2 = h.output(fresh) if bound_out else h.input(Var(fresh))
-                    out.append(((h2, tgt), b))
+                continue
+            fresh = self.gen.fresh(lab.binder)
+            tgt = substitute(t.target, Substitution.of({t.label.binder: Var(fresh)}))
+            b = subst_formula(body, Substitution.of({lab.binder: Var(fresh)}))
+            out.append(((h.after(replace(lab, binder=fresh)), tgt), b))
         return out, True
 
 
@@ -558,22 +541,22 @@ class _FParser(Reader):
         self.depth = base
         return f
 
-    def label(self) -> LabelPat:
+    def label(self) -> Label:
         if self._word("tau"):
-            return LabelPat("tau")
+            return Label("tau")
         chan = self.term()
         if self.accept("!"):
             if self.accept("("):
                 binder = self.expect("ident", "a binder").text
                 self.expect(")", "')'")
-                return LabelPat("out", chan, binder=binder)
-            return LabelPat("free-out", chan, payload=self.term())
+                return Label("out", chan, binder=binder)
+            return Label("free-out", chan, payload=self.term())
         self.expect("?", "'!' or '?'")
         if self.accept("("):
             binder = self.expect("ident", "a binder").text
             self.expect(")", "')'")
-            return LabelPat("late-in", chan, binder=binder)
-        return LabelPat("in", chan, payload=self.term())
+            return Label("late-in", chan, binder=binder)
+        return Label("in", chan, payload=self.term())
 
 
 def parse_formula(text: str) -> Formula:
@@ -581,19 +564,6 @@ def parse_formula(text: str) -> Formula:
     f = p.formula()
     p.end()
     return f
-
-
-def _label_str(lab: LabelPat) -> str:
-    if lab.kind == "tau":
-        return "tau"
-    c = render_term(lab.channel)
-    if lab.kind == "out":
-        return f"{c}!({lab.binder})"
-    if lab.kind == "free-out":
-        return f"{c}!{render_term(lab.payload)}"
-    if lab.kind == "late-in":
-        return f"{c}?({lab.binder})"
-    return f"{c}?{render_term(lab.payload)}"
 
 
 def pretty_formula(f: Formula, prec: int = 0) -> str:
@@ -616,9 +586,9 @@ def pretty_formula(f: Formula, prec: int = 0) -> str:
         s = f"{pretty_formula(f.left, 2)} & {pretty_formula(f.right, 3)}"
         return f"({s})" if prec > 2 else s
     if isinstance(f, Diamond):
-        return f"<{_label_str(f.label)}>{pretty_formula(f.body, 3)}"
+        return f"<{f.label.rendered()}>{pretty_formula(f.body, 3)}"
     if isinstance(f, Box):
-        return f"[{_label_str(f.label)}]{pretty_formula(f.body, 3)}"
+        return f"[{f.label.rendered()}]{pretty_formula(f.body, 3)}"
     raise TypeError(f)
 
 
@@ -674,29 +644,7 @@ def _move_constraints(mv: WorldMove) -> Formula:
     return neq(s, t)
 
 
-def _strategy_label(label_data: tuple) -> LabelPat:
-    kind = label_data[0]
-    if kind == "tau":
-        return LabelPat("tau")
-    if kind == "out":
-        _, recipe, binder = label_data
-        return LabelPat("out", recipe, binder=binder)
-    if kind == "in":
-        _, chan, payload = label_data
-        return LabelPat("in", chan, payload=payload)
-    if kind == "free-out":
-        _, chan, payload, _ = label_data
-        return LabelPat("free-out", chan, payload=payload)
-    if kind == "bound-out":
-        _, chan, _, binder = label_data
-        return LabelPat("out", chan, binder=binder)
-    if kind == "late-in":
-        _, chan, _, binder = label_data
-        return LabelPat("late-in", chan, binder=binder)
-    raise ValueError(label_data)
-
-
-def _enabling_tags(node, side: int, label: LabelPat, th: Theory,
+def _enabling_tags(node, side: int, label: Label, th: Theory,
                    cfg: CheckConfig, mode: str) -> list[Formula]:
     """Constraint formulas of worlds in which `side`'s process gains a
     transition matching `label` (used in the box branch of the generation)."""
@@ -736,10 +684,9 @@ def _formulas_from_strategy(s: Strategy, th: Theory, cfg: CheckConfig, mode: str
         ne = neq(s.left_recipe, s.right_recipe)
         return (eq, ne) if s.equal_on == "a" else (ne, eq)
     if isinstance(s, CapabilityLeaf):
-        lab = _strategy_label(s.label_data)
-        mover = Diamond(lab, Top())
-        tags = _enabling_tags(s.node, 1 - s.side, lab, th, cfg, mode) if s.node else []
-        other = Box(lab, disj(tags))
+        mover = Diamond(s.label, Top())
+        tags = _enabling_tags(s.node, 1 - s.side, s.label, th, cfg, mode) if s.node else []
+        other = Box(s.label, disj(tags))
         return (mover, other) if s.side == 0 else (other, mover)
     if isinstance(s, RefineNode):
         l, r = _formulas_from_strategy(s.child, th, cfg, mode, guard_both)
@@ -751,12 +698,9 @@ def _formulas_from_strategy(s: Strategy, th: Theory, cfg: CheckConfig, mode: str
             r = Implies(guard, r)
         return (l, r)
     if isinstance(s, MoveNode):
-        lab = _strategy_label(s.label_data)
         subs = [_formulas_from_strategy(c, th, cfg, mode, guard_both) for c in s.children]
-        mover_parts = [p[s.side] for p in subs]
-        other_parts = [p[1 - s.side] for p in subs]
-        mover = Diamond(lab, conj(mover_parts))
-        other = Box(lab, disj(other_parts))
+        mover = Diamond(s.label, conj(p[s.side] for p in subs))
+        other = Box(s.label, disj(p[1 - s.side] for p in subs))
         return (mover, other) if s.side == 0 else (other, mover)
     raise TypeError(s)
 

@@ -20,6 +20,11 @@ extruded one: a mismatch holds when no respectful substitution equates its
 sides, and every restriction is kept.  Its labels map the steps: an output
 that opens its payload is a bound output, any other a free output, and an
 input is a late input.
+
+Both systems, the game and the logic's modalities name an action by one
+`Label`.  Each system has one rule for which transitions of a state answer
+a label (`early_answers`, `late_answers`); the game's replies and the model
+checker's modalities both use it.
 """
 
 from __future__ import annotations
@@ -40,9 +45,10 @@ from .terms import (
 )
 
 __all__ = [
-    "ReplicationUnbounded", "NotPiFragment", "Transition", "TransitionSet",
-    "InputSchema", "early_transitions", "barbs", "History", "respects",
-    "history_entails_neq", "LateTransition", "late_transitions",
+    "ReplicationUnbounded", "NotPiFragment", "Label", "Transition",
+    "TransitionSet", "InputSchema", "early_transitions", "early_answers",
+    "rename_frame_var", "barbs", "History", "respects", "history_entails_neq",
+    "late_transitions", "late_answers",
 ]
 
 
@@ -62,8 +68,8 @@ class NotPiFragment(Exception):
 class _Tau:
     residual: Process
 
-    def late(self) -> "LateTransition":
-        return LateTransition("tau", None, None, None, self.residual)
+    def late(self) -> "Transition":
+        return Transition(Label("tau"), self.residual)
 
 
 @dataclass(frozen=True)
@@ -73,11 +79,11 @@ class _Out:
     opened: tuple[str, ...]
     residual: Process
 
-    def late(self) -> "LateTransition":
+    def late(self) -> "Transition":
         if self.opened:
             (binder,) = self.opened  # a pi payload is one name
-            return LateTransition("bound-out", self.chan, None, binder, self.residual)
-        return LateTransition("free-out", self.chan, self.payload, None, self.residual)
+            return Transition(Label("out", self.chan, binder=binder), self.residual)
+        return Transition(Label("free-out", self.chan, self.payload), self.residual)
 
 
 @dataclass(frozen=True)
@@ -86,8 +92,8 @@ class _In:
     binder: str
     residual: Process
 
-    def late(self) -> "LateTransition":
-        return LateTransition("late-in", self.chan, None, self.binder, self.residual)
+    def late(self) -> "Transition":
+        return Transition(Label("late-in", self.chan, binder=self.binder), self.residual)
 
 
 @dataclass(frozen=True)
@@ -218,24 +224,36 @@ def _comms(outs, ins, th: Theory):
 
 @dataclass(frozen=True)
 class Label:
-    kind: str            # "tau" | "out" | "in"
+    """An action, as a transition fires it and as a modality names it.
+
+    Kinds: "tau"; "out", a bound output `C!(x)` (early: x is the frame
+    variable the payload is exported at; late: an extruded name); "free-out",
+    `C!M`; "in", an input `C?M` of the payload recipe M; "late-in", `C?(x)`.
+    An early label's channel is a recipe through the frame."""
+
+    kind: str
     channel: Optional[Term] = None
-    payload: Optional[Term] = None   # input payload recipe
-    binder: Optional[str] = None     # bound-output frame variable
+    payload: Optional[Term] = None   # "free-out" and "in"
+    binder: Optional[str] = None     # "out" and "late-in"
 
     def rendered(self) -> str:
         if self.kind == "tau":
             return "tau"
+        c = render_term(self.channel)
         if self.kind == "out":
-            return f"{render_term(self.channel)}!({self.binder})"
-        return f"{render_term(self.channel)}?{render_term(self.payload)}"
+            return f"{c}!({self.binder})"
+        if self.kind == "free-out":
+            return f"{c}!{render_term(self.payload)}"
+        if self.kind == "late-in":
+            return f"{c}?({self.binder})"
+        return f"{c}?{render_term(self.payload)}"
 
 
 @dataclass(frozen=True)
 class Transition:
     label: Label
-    target: ExtendedProcess
-    raw_channel: Optional[Term] = None  # channel as written (may be private)
+    target: ExtendedProcess | Process   # a Process in the late system
+    raw_channel: Optional[Term] = None  # early output: channel as written (may be private)
 
 
 @dataclass(frozen=True)
@@ -269,7 +287,6 @@ def _channel_recipe(ep: ExtendedProcess, chan: Term, th: Theory,
 
 
 def early_transitions(
-    env: frozenset[str],
     ep: ExtendedProcess,
     th: Theory,
     gen: Optional[NameGen] = None,
@@ -283,7 +300,7 @@ def early_transitions(
     unobservable and reported in dropped_channels.
     """
     gen = gen or NameGen()
-    scope = _Privates(frozenset(env) | set(ep.privates))
+    scope = _Privates(frozenset(ep.privates))
     steps, unknown = _trans(scope, ep.body, th, gen, allow_replication)
 
     transitions: list[Transition] = []
@@ -330,9 +347,45 @@ def early_transitions(
     return TransitionSet(tuple(transitions), tuple(inputs), unknown, tuple(dropped))
 
 
+def early_answers(label: Label, ep: ExtendedProcess, ts: TransitionSet,
+                  th: Theory) -> list:
+    """The early rule: the transitions of ep (`ts`) that answer `label`, in
+    their order.  A tau answers a tau; an output or an input answers when
+    the label's channel recipe, seen through ep's frame, equals its raw
+    channel.  Input answers are the InputSchema entries; the label's
+    payload and binder are not read, and its channel is seen through the
+    frame only when some transition of its kind is there to answer."""
+    if label.kind == "tau":
+        return [t for t in ts.transitions if t.label.kind == "tau"]
+    if label.kind == "out":
+        candidates = [t for t in ts.transitions if t.label.kind == "out"]
+    elif label.kind == "in":
+        candidates = ts.inputs
+    else:
+        raise ValueError(f"label kind {label.kind!r} is not an early label")
+    if not candidates:
+        return []
+    want = normalize(ep.frame(label.channel), th)
+    return [t for t in candidates if eq_mod(want, t.raw_channel, th)]
+
+
+def rename_frame_var(ep: ExtendedProcess, old: str, new: str) -> ExtendedProcess:
+    """ep with its frame variable `old` renamed to `new`: an answering
+    output's exported variable taken to the label's binder."""
+    if old == new:
+        return ep
+    ren = Substitution.of({old: Var(new)})
+    frame = Substitution(
+        tuple((new if x == old else x, ren(t)) for x, t in ep.frame.bindings)
+    )
+    order = tuple(new if x == old else x for x in ep.frame_order)
+    body = substitute(ep.body, ren)
+    return ExtendedProcess(ep.privates, frame, body, order)
+
+
 def barbs(ep: ExtendedProcess, th: Theory, gen: Optional[NameGen] = None) -> frozenset[Term]:
     """Channels (recipes, up to normal form) of enabled observable actions."""
-    ts = early_transitions(frozenset(), ep, th, gen)
+    ts = early_transitions(ep, th, gen)
     out: set[Term] = set()
     for t in ts.transitions:
         if t.label.kind == "out":
@@ -368,6 +421,15 @@ class History:
         for _, t in self.events:
             out |= term_free_vars(t)
         return frozenset(out)
+
+    def after(self, label: Label) -> "History":
+        """The history after a step labelled `label`: a bound output
+        extrudes its binder, a late input records it as an input."""
+        if label.kind == "out":
+            return self.output(label.binder)
+        if label.kind == "late-in":
+            return self.input(Var(label.binder))
+        return self
 
     def outputs(self) -> tuple[str, ...]:
         return tuple(t.name for k, t in self.events if k == "o")
@@ -437,26 +499,8 @@ class _Extruded:
         return p
 
 
-@dataclass(frozen=True)
-class LateTransition:
-    kind: str                 # "tau" | "free-out" | "bound-out" | "late-in"
-    channel: Optional[Term]
-    payload: Optional[Term]   # free output payload
-    binder: Optional[str]     # bound output / late input binder
-    target: Process
-
-    def rendered(self) -> str:
-        if self.kind == "tau":
-            return "tau"
-        if self.kind == "free-out":
-            return f"{render_term(self.channel)}!{render_term(self.payload)}"
-        if self.kind == "bound-out":
-            return f"{render_term(self.channel)}!({self.binder})"
-        return f"{render_term(self.channel)}?({self.binder})"
-
-
 def late_transitions(h: History, p: Process, th: Theory,
-                     gen: Optional[NameGen] = None) -> list[LateTransition]:
+                     gen: Optional[NameGen] = None) -> list[Transition]:
     """Late semantics for the finite pi-calculus with mismatch: the steps of
     `_trans` under the history h.  `gen` must not mint a name of h or p;
     when it is omitted, a generator that reserves them all is used."""
@@ -469,3 +513,11 @@ def late_transitions(h: History, p: Process, th: Theory,
         gen.reserve(h.names() | free_vars(p) | bound_names(p))
     steps, _ = _trans(_Extruded(h), p, th, gen, False)
     return [s.late() for s in steps]
+
+
+def late_answers(label: Label, steps: Iterable[Transition]) -> list[Transition]:
+    """The late rule: the steps whose label equals `label` up to the
+    binder, in their order."""
+    want = (label.kind, label.channel, label.payload)
+    return [t for t in steps
+            if (t.label.kind, t.label.channel, t.label.payload) == want]

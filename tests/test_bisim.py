@@ -40,11 +40,11 @@ def test_mobility_pair_distinguished():
     assert isinstance(v, DistinguishedVerdict)
     # strategy: replay the output, then an input on fst(v) with no reply
     s = v.strategy
-    assert isinstance(s, MoveNode) and s.label_data[0] == "out"
+    assert isinstance(s, MoveNode) and s.label.kind == "out"
     leaf = s.children[0]
     while isinstance(leaf, (MoveNode, RefineNode)):
         leaf = leaf.children[0] if isinstance(leaf, MoveNode) else leaf.child
-    assert "fst(" in leaf.label
+    assert "fst(" in leaf.label.rendered()
 
 
 def test_aenc_pair_distinguished_via_refinement():

@@ -3,7 +3,8 @@
 For every bundled corpus entry, the digest covers the rendered witness or
 strategy of `check-bisim`, the `distinguish` formulas of a distinguished
 pair, and the model-check result, each computed on a freshly loaded theory
-as the command-line front end does.  A change that must keep the output
+as the command-line front end does, and again, in three seeded orders, on
+one theory object per theory file shared by every check.  A change that must keep the output
 byte-identical keeps these digests.  Hash-and-sign, the largest witness
 (24,172 pairs), has a test of its own that also validates the witness, on
 the split-over-workers path of `validate_witness`.  Every formula printed
@@ -190,22 +191,23 @@ def printed(f) -> str:
     return text
 
 
-def rendered(entry) -> str:
-    """Everything the CLI prints about `entry`, as one text."""
+def rendered(entry, theory=fresh) -> str:
+    """Everything the CLI prints about `entry`, as one text; each command
+    runs on `theory(entry)`."""
     cfg = config(entry)
     left = parse(corpus.read(entry.left))
     if entry.kind == "model-check":
         formula = parse_formula(corpus.read(entry.formula))
         printed(formula)
-        return "model-check " + check(left, formula, fresh(entry), cfg).value + "\n"
+        return "model-check " + check(left, formula, theory(entry), cfg).value + "\n"
     right = parse(corpus.read(entry.right))
     game = open_bisim_pi_check if entry.kind == "bisim-pi" else quasi_open_check
-    verdict = game(left, right, fresh(entry), cfg)
+    verdict = game(left, right, theory(entry), cfg)
     if isinstance(verdict, Bisimilar):
         return render_witness(verdict.witness)
     if not isinstance(verdict, DistinguishedVerdict):
         return f"unknown: {verdict.reason}\n"
-    fl, fr = distinguish(left, right, fresh(entry), cfg)
+    fl, fr = distinguish(left, right, theory(entry), cfg)
     return (render_strategy(verdict.strategy)
             + f"left-biased:  {printed(fl)}\n"
             + f"right-biased: {printed(fr)}\n")
@@ -304,6 +306,24 @@ def pi_digest(seed: int) -> str:
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
 def test_corpus_output_is_pinned(entry):
     assert digest(entry) == DIGESTS[entry.name]
+
+
+def test_output_does_not_depend_on_earlier_checks():
+    # one process, one theory object per theory file for every check (its
+    # memo tables filled by whatever ran before), three seeded orders
+    theories = {}
+
+    def shared(entry):
+        if entry.theory not in theories:
+            theories[entry.theory] = fresh(entry)
+        return theories[entry.theory]
+
+    for seed in range(3):
+        order = list(ENTRIES)
+        random.Random(seed).shuffle(order)
+        for entry in order:
+            got = hashlib.sha256(rendered(entry, shared).encode()).hexdigest()
+            assert got == DIGESTS[entry.name], (seed, entry.name)
 
 
 def test_hash_and_sign_witness_is_pinned_and_validates():

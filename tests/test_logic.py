@@ -2,18 +2,23 @@
 formulas, hereditariness, duality failure."""
 
 import pytest
+from test_golden import ENTRIES, PI_DIGESTS, config, fresh, pi_pair
 
+from openbisim import corpus
 from openbisim.bisim import (
-    Bisimilar, CheckConfig, quasi_open_check, representative_worlds,
+    Bisimilar, CapabilityLeaf, CheckConfig, DistinguishedVerdict, MoveNode,
+    RefineNode, open_bisim_pi_check, quasi_open_check, representative_worlds,
     apply_world_move,
 )
+from openbisim.cli import render_strategy
 from openbisim.logic import (
-    Bottom, Box, Diamond, Equal, Implies, LabelPat, NotDistinguished, Sat, Top,
+    Bottom, Box, Diamond, Equal, Implies, NotDistinguished, Sat, Top,
     check, check_pi, distinguish, formula_alpha_equiv, neq, parse_formula,
     pretty_formula, subst_formula,
 )
+from openbisim.lts import Label
 from openbisim.names import NameGen
-from openbisim.syntax import make_extended, parse_process, promote
+from openbisim.syntax import make_extended, parse, parse_process, promote
 from openbisim.terms import Substitution, Var, dy_asym, dy_blind
 
 TH = dy_asym()
@@ -36,12 +41,12 @@ def F(src):
 
 def test_parse_box_ff():
     f = F("[tau]ff")
-    assert f == Box(LabelPat("tau"), Bottom())
+    assert f == Box(Label("tau"), Bottom())
 
 
 def test_parse_implication_sugar():
     f = F("x != y => <tau>tt")
-    assert f == Implies(neq(Var("x"), Var("y")), Diamond(LabelPat("tau"), Top()))
+    assert f == Implies(neq(Var("x"), Var("y")), Diamond(Label("tau"), Top()))
 
 
 def test_parse_labels():
@@ -55,7 +60,7 @@ def test_parse_labels():
 def test_keywords_are_whole_identifiers():
     assert F("ttl = a") == Equal(Var("ttl"), Var("a"))
     assert F("ffo = a") == Equal(Var("ffo"), Var("a"))
-    assert F("<taux!(v#1)>tt") == Diamond(LabelPat("out", Var("taux"), binder="v#1"), Top())
+    assert F("<taux!(v#1)>tt") == Diamond(Label("out", Var("taux"), binder="v#1"), Top())
 
 
 def test_roundtrip_corpus():
@@ -309,3 +314,50 @@ def test_unhoused_private_variable_rejected():
     epp = promote(ep)
     with pytest.raises(UnhousedVariable):
         check(epp, F(f"{epp.privates[0]} = m"), TH, CFG)
+
+
+# ---------------------------------------------------------------------------
+# Strategy labels are formula labels
+
+
+def _labelled_nodes(s):
+    """The capability leaves and move nodes of a strategy."""
+    if isinstance(s, RefineNode):
+        yield from _labelled_nodes(s.child)
+    elif isinstance(s, (CapabilityLeaf, MoveNode)):
+        yield s
+        for c in getattr(s, "children", ()):
+            yield from _labelled_nodes(c)
+
+
+def _distinguishing_strategies():
+    """The strategies of the distinguished corpus pairs, and of the pinned
+    seeded pi pairs in both modes."""
+    for entry in ENTRIES:
+        if entry.kind in ("bisim", "bisim-pi"):
+            game = open_bisim_pi_check if entry.kind == "bisim-pi" else quasi_open_check
+            v = game(parse(corpus.read(entry.left)), parse(corpus.read(entry.right)),
+                     fresh(entry), config(entry))
+            if isinstance(v, DistinguishedVerdict):
+                yield v.strategy
+    for seed in sorted(PI_DIGESTS):
+        p, q = (P(src) for src in pi_pair(seed))
+        for game, cfg in ((quasi_open_check, CFG), (open_bisim_pi_check, PI_CFG)):
+            v = game(p, q, TH, cfg)
+            if isinstance(v, DistinguishedVerdict):
+                yield v.strategy
+
+
+def test_strategy_labels_read_back_as_formula_labels():
+    # validate_strategy_text re-reads a capability leaf's printed label as
+    # the formula <label>tt; distinguish puts the same label in a modality
+    labels = 0
+    for strategy in _distinguishing_strategies():
+        for node in _labelled_nodes(strategy):
+            text = node.label.rendered()
+            assert parse_formula(f"<{text}>tt").label == node.label, text
+            line = render_strategy(node).splitlines()[0]
+            printed = line.split(" ", 2)[2]
+            assert printed == text or printed.startswith(text + " at"), line
+            labels += 1
+    assert labels >= 67

@@ -12,9 +12,9 @@ from openbisim.lts import (
 )
 from openbisim.names import NameGen
 from openbisim.syntax import (
-    Choice, Deadlock, Match, Mismatch, New, Parallel, Process, Receive, Send,
-    TauPrefix, alpha_equiv, bound_names, free_vars, parse, parse_process, pretty,
-    promote, substitute,
+    Choice, Deadlock, ExtendedProcess, Match, Mismatch, New, Parallel, Process,
+    Receive, Send, TauPrefix, alpha_equiv, bound_names, free_vars, parse,
+    parse_process, pretty, promote, substitute,
 )
 from openbisim.terms import Substitution, Var, dy_asym, normalize, parse_term
 
@@ -32,7 +32,6 @@ def EP(src):
 
 def _ep(src):
     p = parse(src)
-    from openbisim.syntax import ExtendedProcess
     return p if isinstance(p, ExtendedProcess) else promote(p)
 
 
@@ -42,31 +41,31 @@ def _ep(src):
 
 def test_mismatch_under_restriction_enables_input():
     # nu y. [x != hash(y)] in(z, w). 0  has an input transition on z
-    ts = early_transitions(frozenset(), _ep("new y. [x != hash(y)] in(z, w). 0"), TH)
+    ts = early_transitions(_ep("new y. [x != hash(y)] in(z, w). 0"), TH)
     assert [str(s.channel) for s in ts.inputs] == ["z"]
     assert not ts.unknown
 
 
 def test_mismatch_without_evidence_blocks():
-    ts = early_transitions(frozenset(), _ep("[x != hash(y)] in(z, w). 0"), TH)
+    ts = early_transitions(_ep("[x != hash(y)] in(z, w). 0"), TH)
     assert not ts.inputs and not ts.transitions
     assert not ts.unknown  # FAILS is definite, not unknown
 
 
 def test_alias_input_channel_is_recipe():
-    ts = early_transitions(frozenset(), _ep("new m. {w = pair(m, n)} | in(m, x). 0"), TH)
+    ts = early_transitions(_ep("new m. {w = pair(m, n)} | in(m, x). 0"), TH)
     assert [str(s.channel) for s in ts.inputs] == ["fst(w)"]
 
 
 def test_deadlock_has_no_transitions():
-    ts = early_transitions(frozenset(), _ep("0"), TH)
+    ts = early_transitions(_ep("0"), TH)
     assert not ts.transitions and not ts.inputs
 
 
 def test_close_communication_on_private_channel():
     # k : nu n. out(a, aenc(n, pk(k))). in(n, x) | in(a, w). out(adec(w, k), a)
     ep = _ep("new n. out(a, aenc(n, pk(k))). in(n, x). 0 | in(a, w). out(adec(w, k), a). 0")
-    ts = early_transitions(frozenset({"k"}), ep, TH)
+    ts = early_transitions(ep, TH)
     taus = [t for t in ts.transitions if t.label.kind == "tau"]
     assert len(taus) == 1
     target = taus[0].target
@@ -77,7 +76,7 @@ def test_close_communication_on_private_channel():
 
 def test_output_extends_frame_and_keeps_privates():
     ep = _ep("new n. out(a, aenc(n, pk(k))). in(n, x). 0")
-    ts = early_transitions(frozenset({"k"}), ep, TH)
+    ts = early_transitions(ep, TH)
     outs = [t for t in ts.transitions if t.label.kind == "out"]
     assert len(outs) == 1
     t = outs[0]
@@ -91,14 +90,14 @@ def test_output_extends_frame_and_keeps_privates():
 
 
 def test_private_channel_output_is_unobservable():
-    ts = early_transitions(frozenset(), _ep("new n. out(n, m). 0"), TH)
+    ts = early_transitions(_ep("new n. out(n, m). 0"), TH)
     assert not ts.transitions
     assert ts.dropped_channels
 
 
 def test_input_instantiation_applies_frame_recipe():
     ep = _ep("new k. {u = pk(k)} | in(a, x). [x = pk(k)] out(a, x). 0")
-    ts = early_transitions(frozenset(), ep, TH)
+    ts = early_transitions(ep, TH)
     [schema] = ts.inputs
     target = schema.instantiate(Var("u"))
     # [pk(k) = pk(k)] guard survives with the frame image substituted
@@ -124,7 +123,7 @@ def test_result_frames_idempotent_and_normal():
     for _ in range(3):
         nxt = []
         for state in frontier:
-            ts = early_transitions(frozenset(), state, TH)
+            ts = early_transitions(state, TH)
             for t in ts.transitions:
                 assert t.target.frame.is_idempotent()
                 for _, term in t.target.frame.bindings:
@@ -135,7 +134,7 @@ def test_result_frames_idempotent_and_normal():
 
 
 def test_environment_monotonicity():
-    # transitions enabled under env stay enabled under a larger env
+    # transitions enabled under some private names stay enabled under more
     cases = [
         "[x != hash(y)] in(z, w). 0",
         "new y. [x != hash(y)] in(z, w). 0",
@@ -143,8 +142,9 @@ def test_environment_monotonicity():
     ]
     for src in cases:
         ep = _ep(src)
-        small = early_transitions(frozenset(), ep, TH)
-        big = early_transitions(frozenset({"y", "q"}), ep, TH)
+        small = early_transitions(ep, TH)
+        more = tuple(dict.fromkeys(ep.privates + ("y", "q")))
+        big = early_transitions(ExtendedProcess(more, ep.frame, ep.body), TH)
         small_labels = {t.label.rendered() for t in small.transitions} | {
             str(s.channel) for s in small.inputs
         }
@@ -161,14 +161,14 @@ def test_environment_monotonicity():
 def test_replication_requires_budget():
     ep = _ep("rep in(a, x). 0")
     with pytest.raises(ReplicationUnbounded):
-        early_transitions(frozenset(), ep, TH)
-    ts = early_transitions(frozenset(), ep, TH, allow_replication=True)
+        early_transitions(ep, TH)
+    ts = early_transitions(ep, TH, allow_replication=True)
     assert ts.inputs
 
 
 def test_bound_label_names_fresh():
     ep = _ep("new n. out(a, n). 0")
-    ts = early_transitions(frozenset({"x"}), ep, TH)
+    ts = early_transitions(ep, TH)
     [t] = ts.transitions
     assert t.label.binder not in {"a", "n", "x"}
 
@@ -219,13 +219,13 @@ def L(h, src):
 
 def test_late_mismatch_resolved_by_history():
     ts = L(History.inputs_for("x").output("z"), "[x != z] tau. 0")
-    assert [(t.rendered(), pretty(t.target)) for t in ts] == [("tau", "0")]
+    assert [(t.label.rendered(), pretty(t.target)) for t in ts] == [("tau", "0")]
 
 
 def test_late_res_appends_history():
     ts = L(History.inputs_for("x"), "new z. [x != z] tau. 0")
     assert len(ts) == 1
-    assert ts[0].kind == "tau"
+    assert ts[0].label.kind == "tau"
     assert isinstance(ts[0].target, New)
 
 
@@ -236,8 +236,8 @@ def test_late_two_inputs_blocked():
 def test_late_open_rule():
     ts = L(History.inputs_for("x"), "new z. out(x, z). 0")
     assert len(ts) == 1
-    assert ts[0].kind == "bound-out"
-    assert str(ts[0].channel) == "x"
+    assert ts[0].label.kind == "out"
+    assert str(ts[0].label.channel) == "x"
 
 
 def test_late_rejects_theory_symbols():
@@ -250,14 +250,14 @@ def test_late_step_keeps_a_dead_restriction():
     # test_golden.py (and 19 and 29) moves when it drops one
     h = History.inputs_for("a", "x")
     [t] = L(h, "new z. tau. out(a, x). 0")
-    assert (t.kind, pretty(t.target)) == ("tau", "new z#1. out(a, x). 0")
+    assert (t.label.kind, pretty(t.target)) == ("tau", "new z#1. out(a, x). 0")
 
 
 def test_early_step_drops_a_dead_restriction():
     # the early system drops a restriction whose name the residual lost;
     # no digest of test_golden.py moves when it keeps one (the hash-and-sign
     # digest included), so this case is the only pin of that policy
-    ts = early_transitions(frozenset(), _ep("in(b, y). 0 | new z. tau. out(a, x). 0"), TH)
+    ts = early_transitions(_ep("in(b, y). 0 | new z. tau. out(a, x). 0"), TH)
     [t] = [t for t in ts.transitions if t.label.kind == "tau"]
     assert pretty(t.target.body) == "in(b, y). 0 | out(a, x). 0"
     assert t.target.privates == ()
@@ -265,8 +265,9 @@ def test_early_step_drops_a_dead_restriction():
 
 def _label(t, sub=Substitution.identity()):
     """What a late transition offers an observer, its binder left out."""
-    return (t.kind, None if t.channel is None else sub(t.channel),
-            None if t.payload is None else sub(t.payload))
+    lab = t.label
+    return (lab.kind, None if lab.channel is None else sub(lab.channel),
+            None if lab.payload is None else sub(lab.payload))
 
 
 def test_late_transitions_survive_world_moves():
@@ -394,10 +395,13 @@ def test_late_agrees_with_classical_on_grounded_processes():
         ours = late_transitions(h, p, TH, gen=NameGen())
         classic = classical_late(p, NameGen())
         ours_sig = sorted(
-            (t.kind, str(t.channel), str(t.payload), pretty(t.target)) for t in ours
+            (t.label.kind, str(t.label.channel), str(t.label.payload), pretty(t.target))
+            for t in ours
         )
+        # the oracle's bound output is the kind "out" of an lts.Label
         classic_sig = sorted(
-            (k, str(ch), str(pay), pretty(tgt)) for k, ch, pay, _, tgt in classic
+            ("out" if k == "bound-out" else k, str(ch), str(pay), pretty(tgt))
+            for k, ch, pay, _, tgt in classic
         )
         assert ours_sig == classic_sig, src
 
@@ -405,7 +409,7 @@ def test_late_agrees_with_classical_on_grounded_processes():
 def test_replication_self_communication():
     # Rep-close: two copies of a replicated process interact
     ep = _ep("rep (out(a, m). 0 + in(a, x). out(b, x). 0)")
-    ts = early_transitions(frozenset(), ep, TH, allow_replication=True)
+    ts = early_transitions(ep, TH, allow_replication=True)
     taus = [t for t in ts.transitions if t.label.kind == "tau"]
     assert taus, "replication self-communication missing"
     # the residual keeps the replicated process available

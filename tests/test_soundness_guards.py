@@ -68,21 +68,21 @@ def test_strategy_leaves_recheck_independently():
             else:
                 a, b = leaf.node
                 mover, other = (a, b) if leaf.side == 0 else (b, a)
-                kind = leaf.label_data[0]
-                ts_m = early_transitions(frozenset(), mover, TH, gen)
-                ts_o = early_transitions(frozenset(), other, TH, gen)
+                kind = leaf.label.kind
+                ts_m = early_transitions(mover, TH, gen)
+                ts_o = early_transitions(other, TH, gen)
 
                 def enabled(ts, ep):
                     if kind == "tau":
                         return any(t.label.kind == "tau" for t in ts.transitions)
                     if kind == "out":
-                        want = ep.frame(leaf.label_data[1])
+                        want = ep.frame(leaf.label.channel)
                         return any(
                             t.label.kind == "out"
                             and eq_mod(want, t.raw_channel, TH)
                             for t in ts.transitions
                         )
-                    want = ep.frame(leaf.label_data[1])
+                    want = ep.frame(leaf.label.channel)
                     return any(
                         eq_mod(want, s.raw_channel, TH) for s in ts.inputs
                     )
