@@ -4,8 +4,8 @@ For every bundled corpus entry, the digest covers the rendered witness or
 strategy of `check-bisim`, the `distinguish` formulas of a distinguished
 pair, and the model-check result, each computed on a freshly loaded theory
 as the command-line front end does, and again, in three seeded orders, on
-one theory object per theory file shared by every check.  A change that must keep the output
-byte-identical keeps these digests.  Hash-and-sign, the largest witness
+one theory object per theory file shared by every check.  A change that
+must keep the output byte-identical keeps these digests.  Hash-and-sign, the largest witness
 (24,172 pairs), has a test of its own that also validates the witness, on
 the split-over-workers path of `validate_witness`.  Every formula printed
 or read must read back as itself.  Beyond the corpus, the rendered
