@@ -26,7 +26,7 @@ import itertools
 import os
 import signal
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import frames as frames_mod
@@ -43,7 +43,8 @@ from .names import NameGen
 from .syntax import (
     ExtendedProcess, New, Process, bound_names, canonical_key, canonical_render,
     free_vars, guard_pairs, has_replication, is_pi_fragment, make_extended,
-    output_terms, promote, rename_apart, substitute, unfold_replication,
+    make_successor, output_terms, promote, rename_apart, substitute,
+    unfold_replication,
 )
 from .terms import (
     App, Substitution, Term, Theory, Var, apply_map,
@@ -409,19 +410,18 @@ def _render_positional(t: Term, names: dict[str, str]) -> str:
 
 
 def apply_world_move(ep: ExtendedProcess, mv: WorldMove, th: Theory) -> ExtendedProcess:
+    """The state a world move leads a normal-form state to: the move's
+    substitution applied to the frame and the body, and each term it
+    rebuilds normalized (make_successor)."""
+    frame = Substitution.of({x: mv.sigma(t) for x, t in ep.frame.bindings})
+    body = substitute(ep.body, mv.sigma, avoid=frozenset(ep.privates), th=th)
     if mv.kind == "subst":
-        frame = Substitution.of({x: mv.sigma(t) for x, t in ep.frame.bindings})
-        body = substitute(ep.body, mv.sigma, avoid=frozenset(ep.privates))
-        return make_extended(ep.privates, frame, body, th, ep.frame_order)
+        return make_successor(ep.privates, frame, body, th, ep.frame_order)
     # fresh extension: capture the variable as a new private name, export an
     # alias so the name remains sendable
-    frame = Substitution.of({x: mv.sigma(t) for x, t in ep.frame.bindings})
     frame = Substitution(frame.bindings + ((mv.alias, Var(mv.private)),))
-    body = substitute(ep.body, mv.sigma, avoid=frozenset(ep.privates))
-    return make_extended(
-        ep.privates + (mv.private,), frame, body, th,
-        ep.frame_order + (mv.alias,),
-    )
+    return make_successor(ep.privates + (mv.private,), frame, body, th,
+                          ep.frame_order + (mv.alias,))
 
 
 # ---------------------------------------------------------------------------
@@ -694,13 +694,23 @@ def _payload_candidates_raw(
 
 @dataclass(slots=True)
 class _SideMove:
+    """What the solver reads of a move: who moves, the kind of its label and
+    the keys of the replier's successors."""
+
     side: int
-    label: Label
-    replies: list                # (child key, minted successor pair or None)
+    kind: str                    # the label's kind
+    replies: tuple[str, ...]     # the replies' child keys
     reply_complete: bool         # False if the replier's set may be incomplete
 
-    def reply_keys(self):
-        return [k for k, _ in self.replies]
+
+@dataclass(slots=True)
+class _Replay:
+    """What the strategy replay reads beyond a node's edges, in the order
+    of its lists: the world move and successor state of each world edge,
+    and the label and reply successor states of each side move."""
+
+    worlds: list = field(default_factory=list)     # (WorldMove, state)
+    moves: list = field(default_factory=list)      # (Label, [state, ...])
 
 
 class _Game:
@@ -712,6 +722,13 @@ class _Game:
     the state, the key and the depth), its key (`_key`), `_expand` (the
     static check, world edges and side moves of a node) and
     `_LAST_DEAD_MOVE`.
+
+    An explored node keeps its state, its static verdict and taint, the
+    child key of each world edge and, of each side move, the mover's side,
+    the label's kind, the replies' child keys and their completeness: all
+    that `solve`, `_closure` and `validate_witness` read.  Each child key is
+    the stored node's own string.  The world moves, labels and successor
+    states behind the edges are kept only by the replay (`_Replay`).
 
     With a `relation` (the canonical keys of a witness's pairs, for an arena
     that supplies `_pair_key`, a node's canonical pair key) a child whose
@@ -741,9 +758,10 @@ class _Game:
 
     def _child(self, *state_depth, root: bool = False) -> str:
         """The key of a state's node (the arguments as for node_for),
-        created and expanded if new.  A node other than a root at the depth
-        bound or past the node bound is a frontier: never expanded, never
-        killed."""
+        created and expanded if new: the stored node's own string, so every
+        edge to a node shares one copy.  A node other than a root at the
+        depth bound or past the node bound is a frontier: never expanded,
+        never killed."""
         state, depth = state_depth[:-1], state_depth[-1]
         key = self._key(*state)
         node = self.nodes.get(key)
@@ -757,7 +775,26 @@ class _Game:
                 node.frontier = True
             else:
                 self._expand(node)
-        return key
+        return node.key
+
+    def _world_edge(self, node, mv: WorldMove, successor: tuple,
+                    replay: Optional[_Replay]) -> None:
+        """Add to `node` the edge of world move `mv` to the `successor`
+        state (the arguments of `_key`), unless it leads back to the node."""
+        key = self._child(*successor, node.depth + 1)
+        if key != node.key:
+            node.world_edges.append(key)
+            if replay is not None:
+                replay.worlds.append((mv, successor))
+
+    def _side_move(self, node, side: int, label: Label, keys: tuple[str, ...],
+                   successors: list, reply_complete: bool,
+                   replay: Optional[_Replay]) -> None:
+        """Add to `node` the move of `side` labelled `label`, whose replies
+        lead to the `successors` states, of child keys `keys`."""
+        node.side_moves.append(_SideMove(side, label.kind, keys, reply_complete))
+        if replay is not None:
+            replay.moves.append((label, successors))
 
     def solve(self) -> dict[str, tuple[int, object]]:
         """Greatest fixpoint by iterated removal: stratum 0 holds the nodes
@@ -786,14 +823,14 @@ class _Game:
         return killed
 
     def _kill_reason(self, node, killed) -> Optional[object]:
-        for mv, key, _ in node.world_edges:
+        for key in node.world_edges:
             if key in killed:
-                return ("refine", mv, key)
+                return ("refine", key)
         best = None
         for m in node.side_moves:
             if not m.reply_complete:
                 continue
-            if all(k in killed for k in m.reply_keys()):
+            if all(k in killed for k in m.replies):
                 cand = ("move", m)
                 if not m.replies:
                     return cand  # capability with no reply: immediate
@@ -819,11 +856,11 @@ class _Game:
             if node.frontier:
                 taint = taint or "depth bound reached"
                 continue
-            for _, k, _pair in node.world_edges:
+            for k in node.world_edges:
                 if k not in killed:
                     todo.append(k)
             for m in node.side_moves:
-                live = [k for k in m.reply_keys() if k not in killed]
+                live = [k for k in m.replies if k not in killed]
                 if not live and m.replies:
                     taint = taint or "reply set exhausted under taint"
                 todo.extend(live)
@@ -839,30 +876,31 @@ def _build_strategy(game: _Game, killed, *state) -> Strategy:
     stratum, cert = killed[key]
     node = game._node_type(*state, key, 0)
     game.nodes[key] = node
-    game._expand(node, keep_pairs=True)
+    replay = _Replay()
+    game._expand(node, replay)
     if cert[0] == "static":
         st = node.static
         assert isinstance(st, StaticDistinguished)
         return StaticLeaf(st.left_recipe, st.right_recipe, st.equal_on, node=state)
     if cert[0] == "refine":
-        _, mv, child_key = cert
-        for mv2, k2, pair in node.world_edges:
+        _, child_key = cert
+        for k2, (mv, successor) in zip(node.world_edges, replay.worlds):
             if k2 == child_key:
-                return RefineNode(mv2, _build_strategy(game, killed, *pair))
+                return RefineNode(mv, _build_strategy(game, killed, *successor))
         raise AssertionError("replayed node lost its refine edge")
     _, m = cert
-    want = (m.side, m.label.kind, frozenset(m.reply_keys()))
-    for m2 in node.side_moves:
-        if (m2.side, m2.label.kind, frozenset(m2.reply_keys())) != want:
+    want = (m.side, m.kind, frozenset(m.replies))
+    for m2, (label, successors) in zip(node.side_moves, replay.moves):
+        if (m2.side, m2.kind, frozenset(m2.replies)) != want:
             continue
-        if not all(k in killed for k in m2.reply_keys()):
+        if not all(k in killed for k in m2.replies):
             continue
         if not m2.replies:
-            return CapabilityLeaf(m2.side, m2.label, node=state)
+            return CapabilityLeaf(m2.side, label, node=state)
         children = tuple(
-            _build_strategy(game, killed, *pair) for _, pair in m2.replies
+            _build_strategy(game, killed, *successor) for successor in successors
         )
-        return MoveNode(m2.side, m2.label, children)
+        return MoveNode(m2.side, label, children)
     raise AssertionError("replayed node lost its killing move")
 
 
@@ -882,8 +920,8 @@ class _Node:
     key: str
     depth: int
     static: object = None
-    world_edges: list = field(default_factory=list)   # (WorldMove, key, pair)
-    side_moves: list = field(default_factory=list)
+    world_edges: list = field(default_factory=list)   # child keys
+    side_moves: list = field(default_factory=list)    # _SideMove
     taint: Optional[str] = None
     frontier: bool = False
 
@@ -898,11 +936,11 @@ class _EarlyGame(_Game):
     def _key(self, a: ExtendedProcess, b: ExtendedProcess) -> str:
         return canonical_key(a, b)
 
-    def _expand(self, node: _Node, keep_pairs: bool = False) -> None:
+    def _expand(self, node: _Node, replay: Optional[_Replay] = None) -> None:
         """Static check, world edges and side moves of a node.  Edges and
-        replies hold the successor pair only with `keep_pairs` (the
-        strategy replay reads them); otherwise just the child key, so an
-        explored graph does not keep every successor alive."""
+        replies hold child keys only, so an explored graph keeps no
+        successor alive that is not a node of its own; a `replay` records
+        the world moves, labels and successor pairs behind them."""
         th, cfg, gen = self.th, self.cfg, self.gen
         a, b = node.a, node.b
         fa = Frame(frozenset(a.privates), a.frame, a.frame_order)
@@ -917,11 +955,8 @@ class _EarlyGame(_Game):
         if truncated:
             node.taint = node.taint or "unifier search truncated"
         for mv in moves:
-            a2 = apply_world_move(a, mv, th)
-            b2 = apply_world_move(b, mv, th)
-            key = self._child(a2, b2, node.depth + 1)
-            if key != node.key:
-                node.world_edges.append((mv, key, (a2, b2) if keep_pairs else None))
+            self._world_edge(node, mv, (apply_world_move(a, mv, th),
+                                        apply_world_move(b, mv, th)), replay)
 
         ts_a = self._transitions(a)
         ts_b = self._transitions(b)
@@ -946,40 +981,40 @@ class _EarlyGame(_Game):
                 got = instances[(id(schema), payload)] = schema.instantiate(payload)
             return got
 
-        def reply(pair: tuple[ExtendedProcess, ExtendedProcess]):
+        def reply(pair: tuple[ExtendedProcess, ExtendedProcess]) -> str:
             ids = (id(pair[0]), id(pair[1]))
             got = child_keys.get(ids)
             if got is None:
                 # the entry holds the pair, so its ids stay unique until the
                 # expansion ends
                 got = child_keys[ids] = (self._child(*pair, node.depth + 1), pair)
-            return (got[0], pair if keep_pairs else None)
+            return got[0]
+
+        def move(side: int, label: Label, pairs: list, reply_complete: bool) -> None:
+            self._side_move(node, side, label, tuple(map(reply, pairs)), pairs,
+                            reply_complete, replay)
 
         for side, mine, theirs, their_ep in ((0, ts_a, ts_b, b), (1, ts_b, ts_a, a)):
             reply_complete = not theirs.unknown
             for t in mine.transitions:
                 # a bound output is answered at the mover's frame variable
-                replies = []
+                pairs = []
                 for r in early_answers(t.label, their_ep, theirs, th):
                     r_target = r.target
                     if t.label.kind == "out":
                         r_target = rename_frame_var(r.target, r.label.binder, t.label.binder)
-                    pair = (t.target, r_target) if side == 0 else (r_target, t.target)
-                    replies.append(reply(pair))
-                node.side_moves.append(_SideMove(side, t.label, replies, reply_complete))
+                    pairs.append((t.target, r_target) if side == 0 else (r_target, t.target))
+                move(side, t.label, pairs, reply_complete)
             for schema in mine.inputs:
                 assert payloads is not None
                 matching = early_answers(Label("in", schema.channel), their_ep, theirs, th)
                 for payload in payloads:
                     target = instantiate(schema, payload)
-                    replies = []
+                    pairs = []
                     for s2 in matching:
                         r_target = instantiate(s2, payload)
-                        pair = (target, r_target) if side == 0 else (r_target, target)
-                        replies.append(reply(pair))
-                    node.side_moves.append(_SideMove(
-                        side, Label("in", schema.channel, payload), replies, reply_complete,
-                    ))
+                        pairs.append((target, r_target) if side == 0 else (r_target, target))
+                    move(side, Label("in", schema.channel, payload), pairs, reply_complete)
 
     def _transitions(self, ep: ExtendedProcess):
         ts = self._trans_cache.get(ep)
@@ -1005,10 +1040,8 @@ def early_root(
             raise ReplicationUnbounded(
                 "replication requires an unfolding bound (--unfold)"
             )
-        a = make_extended(a.privates, a.frame, unfold_replication(a.body, cfg.unfold),
-                          th, a.frame_order)
-        b = make_extended(b.privates, b.frame, unfold_replication(b.body, cfg.unfold),
-                          th, b.frame_order)
+        a = replace(a, body=unfold_replication(a.body, cfg.unfold))
+        b = replace(b, body=unfold_replication(b.body, cfg.unfold))
     a = make_extended(a.privates, a.frame, a.body, th, a.frame_order)
     b = make_extended(b.privates, b.frame, b.body, th, b.frame_order)
     if a.frame.domain != b.frame.domain:
@@ -1091,11 +1124,11 @@ def validate_witness(
                 return False
             if isinstance(node.static, StaticDistinguished):
                 return False
-            for _, k, _pair in node.world_edges:
+            for k in node.world_edges:
                 if k not in keys:
                     return False
             for m in node.side_moves:
-                if not any(k in keys for k in m.reply_keys()):
+                if not any(k in keys for k in m.replies):
                     return False
             # reset children created during expansion so each pair is
             # checked against the witness alone
@@ -1226,8 +1259,8 @@ class _PiNode:
     q: Process
     key: str
     depth: int
-    world_edges: list = field(default_factory=list)   # (WorldMove, key, minted)
-    side_moves: list = field(default_factory=list)
+    world_edges: list = field(default_factory=list)   # child keys
+    side_moves: list = field(default_factory=list)    # _SideMove
     frontier: bool = False
     static = None       # the pi fragment has no frames to tell apart,
     taint = None        # and its world moves and transitions are complete
@@ -1296,15 +1329,14 @@ class _PiGame(_Game):
     def _pair_key(self, node: _PiNode) -> str:
         return canonical_key(promote(node.p), promote(node.q))
 
-    def _expand(self, node: _PiNode, keep_pairs: bool = False) -> None:
-        """World edges and side moves of a node; they hold the minted
-        successor (history, left, right) only with `keep_pairs`."""
+    def _expand(self, node: _PiNode, replay: Optional[_Replay] = None) -> None:
+        """World edges and side moves of a node, holding child keys; a
+        `replay` records the world moves, labels and minted successors
+        (history, left, right) behind them."""
         gen = self.gen
         for mv, h2 in pi_worlds(node.h, (node.p, node.q), gen):
             minted = (h2, substitute(node.p, mv.sigma), substitute(node.q, mv.sigma))
-            key = self._child(*minted, node.depth + 1)
-            if key != node.key:
-                node.world_edges.append((mv, key, minted if keep_pairs else None))
+            self._world_edge(node, mv, minted, replay)
 
         steps_p = late_transitions(node.h, node.p, self.th, gen)
         steps_q = late_transitions(node.h, node.q, self.th, gen)
@@ -1313,7 +1345,7 @@ class _PiGame(_Game):
                 # a bound output or late input is answered at the mover's binder
                 binder = t.label.binder
                 h2 = node.h.after(t.label)
-                replies = []
+                minted = []
                 for r in late_answers(t.label, theirs):
                     r_target = r.target
                     if binder is not None:
@@ -1321,10 +1353,9 @@ class _PiGame(_Game):
                             r.target, Substitution.of({r.label.binder: Var(binder)})
                         )
                     pair = (t.target, r_target) if side == 0 else (r_target, t.target)
-                    minted = (h2,) + pair
-                    replies.append((self._child(*minted, node.depth + 1),
-                                    minted if keep_pairs else None))
-                node.side_moves.append(_SideMove(side, t.label, replies, True))
+                    minted.append((h2,) + pair)
+                keys = tuple(self._child(*m, node.depth + 1) for m in minted)
+                self._side_move(node, side, t.label, keys, minted, True, replay)
 
 
 def _pi_root(p: Process, q: Process) -> tuple[NameGen, History]:

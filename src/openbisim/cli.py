@@ -11,8 +11,10 @@ a command may end in to its exit code in one table, `_FAILURES`:
   * 66, bad input: a file that cannot be read, is not UTF-8 or does not
     parse (nested deeper than the readers' limit included), a bad theory
     (an undeclared symbol, rewriting that does not terminate), a formula
-    that names a private name or a late-pi label in the early mode;
-  * 70: an internal self-check failure, recursion too deep for the stack.
+    that names a private name, a late-pi label in the early mode or an
+    early input label in the late-pi mode;
+  * 70: an internal self-check failure, recursion too deep for the stack;
+  * 74: standard output closed before all was written (a broken pipe).
 
 `check-bisim --validate` answers `invalid` (1) for a witness whose root is
 not the pair checked or whose mode is not the one asked for.
@@ -52,7 +54,7 @@ from .terms import (
 )
 
 EX_OK, EX_NO, EX_UNKNOWN = 0, 1, 2
-EX_USAGE, EX_NOINPUT, EX_SOFTWARE = 64, 66, 70
+EX_USAGE, EX_NOINPUT, EX_SOFTWARE, EX_IOERR = 64, 66, 70, 74
 
 
 class InputError(Exception):
@@ -553,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("formula")
     mc.add_argument("theory")
     mc.add_argument("--late-pi", action="store_true")
-    _add_common(mc)
+    _add_common(mc, unfold=True)
     mc.set_defaults(fn=cmd_model_check)
 
     di = sp.add_parser("distinguish", help="emit distinguishing formulas")
@@ -561,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     di.add_argument("right")
     di.add_argument("theory")
     di.add_argument("--late-pi", action="store_true")
-    _add_common(di)
+    _add_common(di, unfold=True)
     di.set_defaults(fn=cmd_distinguish)
 
     tr = sp.add_parser("trace", help="print the transition tree")
@@ -583,8 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # The exit code and stderr message of each exception a command may end in;
-# the first class that matches wins.  Any other exception (BrokenPipeError
-# among them) ends in Python's own traceback.
+# the first class that matches wins.  A closed standard output is answered
+# apart (see main); any other exception ends in Python's own traceback.
 _FAILURES = {
     InputError: (EX_NOINPUT, "{}"),
     TheoryError: (EX_NOINPUT, "bad theory: {}"),        # UnknownSymbol, NonTermination
@@ -604,7 +606,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()      # a closed pipe is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone (`| head -1`): write nothing more to stdout,
+        # not even the flush at exit, and say nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_IOERR
     except tuple(_FAILURES) as exc:
         code, message = next(v for cls, v in _FAILURES.items() if isinstance(exc, cls))
         print(message.format(exc), file=sys.stderr)

@@ -38,8 +38,8 @@ from .lts import (
 from .names import NameGen
 from .syntax import (
     ExtendedProcess, Process, bound_names, canonical_key,
-    free_vars as proc_free_vars, guard_pairs, make_extended, promote,
-    substitute,
+    free_vars as proc_free_vars, guard_pairs, has_replication, make_extended,
+    promote, substitute, unfold_replication,
 )
 from .terms import (
     Reader, Substitution, Term, Theory, Var, eq_mod, free_vars, render_term,
@@ -401,8 +401,11 @@ def check(
     th: Theory,
     cfg: CheckConfig = CheckConfig(),
 ) -> Sat:
-    """Three-valued satisfaction for the applied-pi logic."""
+    """Three-valued satisfaction for the applied-pi logic.  Replication is
+    unfolded cfg.unfold times, as in the game's root (bisim.early_root)."""
     ep = promote(a)
+    if cfg.unfold > 0 and has_replication(ep.body):
+        ep = replace(ep, body=unfold_replication(ep.body, cfg.unfold))
     ep = make_extended(ep.privates, ep.frame, ep.body, th, ep.frame_order)
     housed = ep.free_variables() | ep.frame.domain
     loose = formula_vars(f) - housed
@@ -439,7 +442,11 @@ class _OMChecker(_Checker):
     def _matching(self, state: tuple[History, Process], lab: Label, body: Formula):
         """The successors of the steps that answer the label
         (lts.late_answers); a binder is renamed to a fresh name, which the
-        history and the body take.  Pi successors are always complete."""
+        history and the body take.  Pi successors are always complete.  An
+        early input label is refused, as the early checker refuses the late
+        ones."""
+        if lab.kind == "in":
+            raise UnhousedVariable(f"label kind {lab.kind!r} needs the early mode")
         h, p = state
         out = []
         for t in late_answers(lab, late_transitions(h, p, self.th, self.gen)):

@@ -30,14 +30,14 @@ checker's modalities both use it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .frames import Frame, deducible
 from .names import NameGen
 from .syntax import (
     Choice, Deadlock, ExtendedProcess, Match, Mismatch, New, Parallel,
     Process, Receive, Replicate, Send, TauPrefix, bound_names, free_vars,
-    has_replication, is_pi_fragment, make_extended, substitute,
+    has_replication, is_pi_fragment, make_extended, make_successor, substitute,
 )
 from .terms import (
     Entailment, Substitution, Term, Theory, Var, entails_neq, eq_mod,
@@ -258,14 +258,28 @@ class Transition:
 
 @dataclass(frozen=True)
 class InputSchema:
-    """A symbolic input: concrete payloads are supplied by the caller."""
+    """A symbolic input of a normal-form state: concrete payloads are
+    supplied by the caller (`instantiate`)."""
 
     channel: Term                      # recipe for the channel
     raw_channel: Term                  # channel as it appears in the process
-    instantiate: Callable[[Term], ExtendedProcess] = field(compare=False)
+    state: ExtendedProcess = field(compare=False)
+    binder: str = field(compare=False)
+    residual: Process = field(compare=False)   # the binder is free in it
+    th: Theory = field(compare=False)
 
     def __hash__(self):
         return hash(("schema", self.channel, self.raw_channel))
+
+    def instantiate(self, payload: Term) -> ExtendedProcess:
+        """The state after the input of the payload recipe `payload`: its
+        message, seen through the frame and normalized, substituted for the
+        binder, normalizing each term the substitution rebuilds."""
+        ep, th = self.state, self.th
+        message = normalize(ep.frame(payload), th)
+        body = substitute(self.residual, Substitution.of({self.binder: message}),
+                          avoid=frozenset(ep.privates), th=th)
+        return make_successor(ep.privates, ep.frame, body, th, ep.frame_order)
 
 
 @dataclass(frozen=True)
@@ -331,16 +345,8 @@ def early_transitions(
             if recipe is None:
                 dropped.append(normalize(step.chan, th))
                 continue
-
-            def instantiate(payload: Term, _step=step) -> ExtendedProcess:
-                message = normalize(ep.frame(payload), th)
-                body = substitute(
-                    _step.residual, Substitution.of({_step.binder: message}),
-                    avoid=frozenset(ep.privates),
-                )
-                return make_extended(ep.privates, ep.frame, body, th, ep.frame_order)
-
-            inputs.append(InputSchema(recipe, normalize(step.chan, th), instantiate))
+            inputs.append(InputSchema(recipe, normalize(step.chan, th), ep,
+                                      step.binder, step.residual, th))
 
     transitions.sort(key=lambda t: t.label.rendered())
     inputs.sort(key=lambda s: render_term(s.channel))

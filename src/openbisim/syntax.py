@@ -34,8 +34,9 @@ __all__ = [
     "Parallel", "Choice", "Replicate", "TauPrefix", "ExtendedProcess",
     "ParseError", "parse", "parse_process", "pretty", "free_vars",
     "alpha_canonicalize", "substitute", "alpha_equiv", "guard_pairs",
-    "make_extended", "compose_parallel", "rename_apart", "DomainClash",
-    "is_pi_fragment", "has_replication", "canonical_render", "unfold_replication",
+    "make_extended", "make_successor", "compose_parallel", "rename_apart",
+    "DomainClash", "is_pi_fragment", "has_replication", "canonical_render",
+    "unfold_replication",
 ]
 
 
@@ -216,9 +217,15 @@ def _fresh_avoiding(base: str, avoid: set[str]) -> str:
     return f"{base}#{i}"
 
 
-def substitute(p: Process, sub: Substitution, avoid: frozenset[str] = frozenset()) -> Process:
+def substitute(p: Process, sub: Substitution, avoid: frozenset[str] = frozenset(),
+               th: Optional[Theory] = None) -> Process:
     """Capture-avoiding substitution; binders clashing with the substitution's
-    range (or `avoid`) are renamed, e.g. the bound name x becomes x#1."""
+    range (or `avoid`) are renamed, e.g. the bound name x becomes x#1.  A
+    subtree that nothing changes is returned as it is.  With a theory `th`,
+    each term the substitution rebuilds is normalized under it, to the
+    shared object of the theory's normal-form table: a process whose terms
+    are normal then gives one whose terms are normal, with no walk over the
+    terms it leaves alone."""
     if sub.is_identity() and not avoid:
         return p
     bound = bound_names(p)
@@ -227,10 +234,11 @@ def substitute(p: Process, sub: Substitution, avoid: frozenset[str] = frozenset(
             and all(bound.isdisjoint(term_free_vars(t)) for _, t in sub.bindings))):
         return p  # nothing to substitute and no binder to rename (see _substitute)
     taboo = set(sub.range_vars()) | set(sub.domain) | set(avoid)
-    return _substitute(p, sub, taboo)
+    return _substitute(p, sub, taboo, th)
 
 
-def _substitute(q: Process, s: Substitution, taboo: set[str]) -> Process:
+def _substitute(q: Process, s: Substitution, taboo: set[str],
+                th: Optional[Theory]) -> Process:
     """substitute's traversal; `taboo` collects the names a binder must not
     take, including the binders renamed so far."""
     # a subtree with no substituted free variable and no binder to rename
@@ -238,15 +246,17 @@ def _substitute(q: Process, s: Substitution, taboo: set[str]) -> Process:
     if s._map.keys().isdisjoint(free_vars(q)) and taboo.isdisjoint(bound_names(q)):
         return q
     if isinstance(q, Send):
-        return Send(s(q.channel), s(q.payload), _substitute(q.continuation, s, taboo))
+        return Send(_term(s, q.channel, th), _term(s, q.payload, th),
+                    _substitute(q.continuation, s, taboo, th))
     if isinstance(q, (Match, Mismatch)):
-        return type(q)(s(q.left), s(q.right), _substitute(q.continuation, s, taboo))
+        return type(q)(_term(s, q.left, th), _term(s, q.right, th),
+                       _substitute(q.continuation, s, taboo, th))
     if isinstance(q, TauPrefix):
-        return TauPrefix(_substitute(q.continuation, s, taboo))
+        return TauPrefix(_substitute(q.continuation, s, taboo, th))
     if isinstance(q, (Parallel, Choice)):
-        return type(q)(_substitute(q.left, s, taboo), _substitute(q.right, s, taboo))
+        return type(q)(_substitute(q.left, s, taboo, th), _substitute(q.right, s, taboo, th))
     if isinstance(q, Replicate):
-        return Replicate(_substitute(q.body, s, taboo))
+        return Replicate(_substitute(q.body, s, taboo, th))
     if isinstance(q, (Receive, New)):
         binder = q.binder
         inner = s
@@ -257,14 +267,21 @@ def _substitute(q: Process, s: Substitution, taboo: set[str]) -> Process:
             new_binder = _fresh_avoiding(binder, used)
             taboo.add(new_binder)
             ren = Substitution.of({binder: Var(new_binder)})
-            body = _substitute(_substitute(q.continuation, ren, taboo), inner, taboo)
+            body = _substitute(_substitute(q.continuation, ren, taboo, th), inner, taboo, th)
             if isinstance(q, Receive):
-                return Receive(s(q.channel), new_binder, body)
+                return Receive(_term(s, q.channel, th), new_binder, body)
             return New(new_binder, body)
         if isinstance(q, Receive):
-            return Receive(s(q.channel), binder, _substitute(q.continuation, inner, taboo))
-        return New(binder, _substitute(q.continuation, inner, taboo))
+            return Receive(_term(s, q.channel, th), binder,
+                           _substitute(q.continuation, inner, taboo, th))
+        return New(binder, _substitute(q.continuation, inner, taboo, th))
     raise TypeError(q)
+
+
+def _term(s: Substitution, t: Term, th: Optional[Theory]) -> Term:
+    """s(t), normalized under `th` (if given) when s rebuilds it."""
+    u = s(t)
+    return u if th is None or u is t else normalize(u, th)
 
 
 def alpha_canonicalize(p: Process) -> Process:
@@ -519,14 +536,41 @@ def make_extended(
     th: Optional[Theory] = None,
     frame_order: tuple[str, ...] = (),
 ) -> ExtendedProcess:
-    """Normalize terms, apply the frame to the body, drop unused privates."""
+    """Normalize terms, apply the frame to the body, drop unused privates.
+    The entry point for a state from outside the game: parsed, a root, or
+    built by the CLI or the logic; a successor that the game derives from a
+    normal-form state is built by make_successor."""
     body = substitute(body, frame)
+    if th is not None:
+        body = _normalize_terms(body, th)
+    return _with_frame(privates, frame, body, th, frame_order)
+
+
+def make_successor(
+    privates: tuple[str, ...],
+    frame: Substitution,
+    body: Process,
+    th: Theory,
+    frame_order: tuple[str, ...] = (),
+) -> ExtendedProcess:
+    """make_extended for a state derived from a normal-form one by
+    `substitute(..., th=th)`, whose terms are therefore normal: the body is
+    not walked again.  Such a body holds no frame variable, so applying the
+    frame only renames a binder that clashes with the frame's names, as
+    make_extended does; with none, substitute returns at its first test."""
+    return _with_frame(privates, frame, substitute(body, frame, th=th), th, frame_order)
+
+
+def _with_frame(privates: tuple[str, ...], frame: Substitution, body: Process,
+                th: Optional[Theory], frame_order: tuple[str, ...]) -> ExtendedProcess:
+    """The extended process of a body the frame is applied to: the frame's
+    values normalized under `th` (the normal-form table's shared objects)
+    and the private names it does not use dropped."""
     if th is not None:
         values = [normalize(t, th) for _, t in frame.bindings]
         if len(frame._map) != len(values) or any(
-                n != t for n, (_, t) in zip(values, frame.bindings)):
+                n is not t for n, (_, t) in zip(values, frame.bindings)):
             frame = Substitution.of({x: n for n, (x, _) in zip(values, frame.bindings)})
-        body = _normalize_terms(body, th)
     used = free_vars(body) | frame.range_vars()
     privates = tuple(x for x in privates if x in used)
     domain = frame._map

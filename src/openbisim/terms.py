@@ -81,6 +81,9 @@ class App(Term):
         return render_term(self)
 
 
+_NO_VARS: frozenset[str] = frozenset()
+
+
 def free_vars(t: Term) -> frozenset[str]:
     cached = t._fv  # type: ignore[union-attr]
     if cached is not None:
@@ -88,13 +91,26 @@ def free_vars(t: Term) -> frozenset[str]:
     if isinstance(t, Var):
         out = frozenset((t.name,))
     else:
-        names: set[str] = set()
-        for a in t.args:  # type: ignore[union-attr]
-            if isinstance(a, Var):
-                names.add(a.name)   # no set of its own needed
-            else:
-                names |= free_vars(a)
-        out = frozenset(names)
+        # reuse the widest set an argument already has when it holds the
+        # union, as syntax._union does for process nodes: terms then share
+        # sets; a variable argument with no set of its own is not given one
+        args = t.args  # type: ignore[union-attr]
+        widest = _NO_VARS
+        for a in args:
+            fv = a._fv if type(a) is Var else free_vars(a)
+            if fv is not None and len(fv) > len(widest):
+                widest = fv
+        if all((a.name in widest) if type(a) is Var else (a._fv <= widest)
+               for a in args):
+            out = widest
+        else:
+            names = set(widest)
+            for a in args:
+                if type(a) is Var:
+                    names.add(a.name)
+                else:
+                    names |= a._fv
+            out = frozenset(names)
     object.__setattr__(t, "_fv", out)
     return out
 

@@ -2,9 +2,12 @@
 
 An independent brute-force bounded game for crypto-free, guard-free
 processes, written before the main solver and sharing none of its machinery
-beyond the AST; and the exhaustive payload filter, which enumerates and
-images every recipe up to the recipe depth where the checker builds the top
-constructor layer from what can interact."""
+beyond the AST; the exhaustive payload filter, which enumerates and images
+every recipe up to the recipe depth where the checker builds the top
+constructor layer from what can interact; and the successors of world moves
+and inputs built by make_extended from the substituted state, which walks
+every term of the body again where the checker normalizes only the terms
+its substitution rebuilds."""
 
 import itertools
 
@@ -216,3 +219,31 @@ def exhaustive_payload_candidates(a, b, th, cfg, gen_fresh_name, memo=None):
             kept.append(r)
     kept.sort(key=_recipe_key)
     return [fresh] + kept
+
+
+def world_move_successor(ep, mv, th):
+    """bisim.apply_world_move by make_extended: the move's substitution
+    applied to the frame and the body, then the frame applied to the body
+    and every term normalized."""
+    from openbisim.syntax import make_extended, substitute
+    from openbisim.terms import Substitution, Var
+
+    frame = Substitution.of({x: mv.sigma(t) for x, t in ep.frame.bindings})
+    body = substitute(ep.body, mv.sigma, avoid=frozenset(ep.privates))
+    if mv.kind == "subst":
+        return make_extended(ep.privates, frame, body, th, ep.frame_order)
+    frame = Substitution(frame.bindings + ((mv.alias, Var(mv.private)),))
+    return make_extended(ep.privates + (mv.private,), frame, body, th,
+                         ep.frame_order + (mv.alias,))
+
+
+def input_successor(schema, payload):
+    """lts.InputSchema.instantiate by make_extended."""
+    from openbisim.syntax import make_extended, substitute
+    from openbisim.terms import Substitution, normalize
+
+    ep, th = schema.state, schema.th
+    message = normalize(ep.frame(payload), th)
+    body = substitute(schema.residual, Substitution.of({schema.binder: message}),
+                      avoid=frozenset(ep.privates))
+    return make_extended(ep.privates, ep.frame, body, th, ep.frame_order)

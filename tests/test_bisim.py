@@ -759,12 +759,12 @@ def _expansions(monkeypatch, log, acts=()):
     by_key = {canonical_key(*pair): act for pair, act in acts}
     real = _EarlyGame._expand
 
-    def expand(self, node, keep_pairs=False):
+    def expand(self, node, replay=None):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()} {node.key}\n")
         if node.key in by_key:
             by_key[node.key]()
-        return real(self, node, keep_pairs)
+        return real(self, node, replay)
 
     monkeypatch.setattr(_EarlyGame, "_expand", expand)
 
@@ -903,3 +903,73 @@ def test_small_witness_or_running_thread_is_not_forked(monkeypatch):
         stop.set()
         other.join(timeout=10)
     assert not other.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# The explored game holds each piece once: successors normalized as they are
+# rebuilt, edges that hold the stored nodes' keys
+
+from openbisim.bisim import _Game, _SideMove
+from openbisim.lts import InputSchema
+
+from _oracles import input_successor, world_move_successor
+
+EARLY = [e for e in corpus.ENTRIES
+         if e.kind == "bisim" and e.name != "hash-and-sign"]   # 24,172 nodes
+
+
+def _early_check(entry):
+    th = load_theory(corpus.path(entry.theory))
+    cfg = CheckConfig(recipe_depth=entry.recipe_depth, max_depth=entry.max_depth)
+    return quasi_open_check(parse(corpus.read(entry.left)),
+                            parse(corpus.read(entry.right)), th, cfg)
+
+
+@pytest.mark.parametrize("entry", EARLY, ids=lambda e: e.name)
+def test_successors_equal_the_make_extended_oracle(monkeypatch, entry):
+    seen = {"world": 0, "input": 0}
+    apply = bisim.apply_world_move
+    instantiate = InputSchema.instantiate
+
+    def same(got, want, kind):
+        assert got == want, (kind, got, want)
+        assert canonical_key(got) == canonical_key(want)
+        seen[kind] += 1
+        return got
+
+    monkeypatch.setattr(bisim, "apply_world_move", lambda ep, mv, th: same(
+        apply(ep, mv, th), world_move_successor(ep, mv, th), "world"))
+    monkeypatch.setattr(InputSchema, "instantiate", lambda schema, payload: same(
+        instantiate(schema, payload), input_successor(schema, payload), "input"))
+    want = {"bisimilar": Bisimilar, "distinguished": DistinguishedVerdict}[entry.expect]
+    assert isinstance(_early_check(entry), want)
+    assert seen["world"] + seen["input"] > 0
+
+
+def test_explored_nodes_hold_only_child_keys(monkeypatch):
+    games = []
+    solve = _Game.solve
+
+    def keep(game):
+        games.append(game)
+        return solve(game)
+
+    monkeypatch.setattr(_Game, "solve", keep)
+    entry = next(e for e in corpus.ENTRIES if e.name == "fixed-servers")
+    assert isinstance(_early_check(entry), Bisimilar)
+    (game,) = games
+
+    def stored(key):
+        return type(key) is str and game.nodes[key].key is key
+
+    edges = moves = 0
+    for node in game.nodes.values():
+        assert stored(node.key)
+        assert all(map(stored, node.world_edges))
+        for m in node.side_moves:
+            assert type(m) is _SideMove
+            assert (type(m.side), type(m.kind), type(m.reply_complete)) == (int, str, bool)
+            assert type(m.replies) is tuple and all(map(stored, m.replies))
+        edges += len(node.world_edges)
+        moves += len(node.side_moves)
+    assert edges and moves

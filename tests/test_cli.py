@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, emit/validate round trips."""
 
+import os
 import subprocess
 import sys
 
@@ -342,3 +343,57 @@ def test_witness_of_another_mode_is_invalid(tmp_path):
     assert run(args + ["--emit-witness", str(w)])[0] == 0
     assert run(args + ["--validate", str(w)])[:2] == (0, "valid\n")
     assert run(args + ["--late-pi", "--validate", str(w)])[:2] == (1, "invalid\n")
+
+
+def test_closed_stdout_exits_74_without_a_traceback():
+    # the reader has gone before anything is written, as after `| head -1`:
+    # a pipe whose read end is closed
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "openbisim.cli", "trace",
+             corpus_path("fixed_server.pi"), THY, "--depth", "6"],
+            stdout=w, stderr=subprocess.PIPE, text=True, timeout=300,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 74, proc.stderr[-500:]
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("formula", ["<a?x>tt", "[a?x]ff"])
+def test_early_input_label_is_refused_in_late_pi_mode(tmp_path, formula):
+    p, f = tmp_path / "p.pi", tmp_path / "f.fm"
+    p.write_text("in(a, y). 0\n")
+    f.write_text(formula + "\n")
+    assert run(["model-check", str(p), str(f), THY])[:2] == (
+        (0, "sat\n") if formula.startswith("<") else (1, "unsat\n"))
+    code, _, err = run(["model-check", str(p), str(f), THY, "--late-pi"])
+    assert code == 66, err[-500:]
+    assert "label kind 'in' needs the early mode" in err
+
+
+def test_model_check_and_distinguish_unfold_replication(tmp_path):
+    rep, once = tmp_path / "rep.pi", tmp_path / "once.pi"
+    rep.write_text("rep in(a, y). 0\n")
+    once.write_text("in(a, y). 0\n")
+    twice = tmp_path / "twice.fm"
+    twice.write_text("<a?x><a?x>tt\n")
+    code, _, err = run(["model-check", str(rep), str(twice), THY])
+    assert code == 64 and "--unfold" in err
+    assert run(["model-check", str(rep), str(twice), THY, "--unfold", "2"])[:2] == (0, "sat\n")
+    assert run(["model-check", str(once), str(twice), THY, "--unfold", "2"])[:2] == (1, "unsat\n")
+
+    assert run(["distinguish", str(rep), str(once), THY])[0] == 64
+    code, out, _ = run(["distinguish", str(rep), str(once), THY, "--unfold", "2"])
+    assert code == 0
+    left = tmp_path / "left.fm"
+    left.write_text(dict(line.split(":", 1) for line in out.splitlines())["left-biased"])
+    assert run(["model-check", str(rep), str(left), THY, "--unfold", "2"])[:2] == (0, "sat\n")
+    assert run(["model-check", str(once), str(left), THY])[:2] == (1, "unsat\n")
+    # two copies on each side are not told apart
+    two = tmp_path / "two.pi"
+    two.write_text("in(a, y). 0 | in(a, y). 0\n")
+    assert run(["distinguish", str(rep), str(two), THY, "--unfold", "2"])[:2] == (
+        1, "not distinguished\n")
