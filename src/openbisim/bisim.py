@@ -64,13 +64,16 @@ __all__ = [
 # Configuration and verdicts
 
 
+# below the root, a node created past this many nodes is a frontier
+_MAX_NODES = 200_000
+
+
 @dataclass(frozen=True)
 class CheckConfig:
     max_depth: int = 64
     recipe_depth: int = 2
     unfold: int = 0
     mode: str = "early-applied"        # or "late-pi"
-    max_nodes: int = 200_000
 
     def __post_init__(self):
         if min(self.max_depth, self.recipe_depth, self.unfold) < 0:
@@ -771,7 +774,7 @@ class _Game:
             if self.relation is not None and self._pair_key(node) not in self.relation:
                 self.outside.add(key)
             elif not root and (depth >= self.cfg.max_depth
-                               or len(self.nodes) > self.cfg.max_nodes):
+                               or len(self.nodes) > _MAX_NODES):
                 node.frontier = True
             else:
                 self._expand(node)
@@ -1037,9 +1040,7 @@ def early_root(
     a, b = promote(p), promote(q)
     if has_replication(a.body) or has_replication(b.body):
         if cfg.unfold <= 0:
-            raise ReplicationUnbounded(
-                "replication requires an unfolding bound (--unfold)"
-            )
+            raise ReplicationUnbounded("replication requires an unfolding bound")
         a = replace(a, body=unfold_replication(a.body, cfg.unfold))
         b = replace(b, body=unfold_replication(b.body, cfg.unfold))
     a = make_extended(a.privates, a.frame, a.body, th, a.frame_order)

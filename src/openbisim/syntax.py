@@ -21,8 +21,9 @@ Extended processes:  new x. new y. { u = M, v = N } | P
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .terms import (
     App, ParseError, Reader, Substitution, Term, Theory, Var,
@@ -45,11 +46,16 @@ __all__ = [
 
 
 class Process:
-    """A process node: one of the ten node types below, each of which
-    declares only its fields, in order, as `__slots__`.  The fields of type
-    Term are the channel and payload of Send, the channel of Receive and the
-    left and right of Match and Mismatch; the binder of Receive and New is a
-    str; every other field is a Process.
+    """A process node: one of the ten node types below.  Each declares its
+    fields, in order, as `__slots__`, and beside them the role of each field
+    as one letter of `_roles`: `t` a Term, `b` a binder (a str that binds in
+    the node's subprocesses, not in its terms), `p` a subprocess.  Terms
+    come first, then at most one binder, then the subprocesses, so field
+    order is traversal order.  From the roles each type gets `_parts` (its
+    terms, its binder or None, its subprocesses), `_subs` (the
+    subprocesses alone) and `_rebuild`, the inverse of `_parts`; these
+    drive every walk over the syntax except rendering, printing, parsing
+    and the transition rules, which stay per type.
 
     Nodes are built positionally and immutable.  Equal fields give equal
     nodes and equal hashes; the hash is computed once, at construction.
@@ -57,13 +63,19 @@ class Process:
     bound names, computed once (see free_vars, bound_names).
     """
     __slots__ = ("_hash", "_fv", "_bn")
+    _roles = ""
 
     def __init_subclass__(cls):
+        names, roles = cls.__slots__, cls._roles
+        if len(roles) != len(names) or not re.fullmatch("t*b?p*", roles):
+            raise TypeError(f"{cls.__name__}: roles {roles!r} do not fit "
+                            f"the fields {names}")
         # the type's name is hashed with the fields, so that node types
-        # differ; __eq__ compares the fields after the hash (a type without
-        # fields compares its name)
+        # differ; __eq__ compares the fields after the hash
         cls._tag = cls.__name__
-        cls._fields = operator.attrgetter(*cls.__slots__ or ("_tag",))
+        cls._fields = staticmethod(_tuple_getter(names))
+        cls._nterms, cls._nbinders = nt, nb = roles.count("t"), roles.count("b")
+        cls._subs = staticmethod(_tuple_getter(names[nt + nb:]))
 
     def __init__(self, *fields):
         names = self.__slots__
@@ -73,6 +85,20 @@ class Process:
         for name, value in zip(names, fields):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_hash", hash((self._tag, *fields)))
+
+    def _parts(self) -> tuple[tuple[Term, ...], Optional[str], tuple[Process, ...]]:
+        """The node's terms, its binder (None if it has none) and its
+        subprocesses."""
+        values, nt = self._fields(self), self._nterms
+        if self._nbinders:
+            return values[:nt], values[nt], values[nt + 1:]
+        return values[:nt], None, values[nt:]
+
+    def _rebuild(self, terms, binder: Optional[str], subs) -> Process:
+        """A node of this type with the given parts, as _parts gives them."""
+        if binder is None:
+            return type(self)(*terms, *subs)
+        return type(self)(*terms, binder, *subs)
 
     def __hash__(self):
         return self._hash
@@ -91,44 +117,64 @@ class Process:
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
 
+def _tuple_getter(names: tuple[str, ...]):
+    """The function giving the tuple of an object's attributes `names`."""
+    if len(names) > 1:
+        return operator.attrgetter(*names)
+    if names:
+        get = operator.attrgetter(names[0])
+        return lambda q: (get(q),)
+    return lambda q: ()
+
+
 class Deadlock(Process):
     __slots__ = ()
+    _roles = ""
 
 
 class Send(Process):
     __slots__ = ("channel", "payload", "continuation")
+    _roles = "ttp"
 
 
 class Receive(Process):
     __slots__ = ("channel", "binder", "continuation")
+    _roles = "tbp"
 
 
 class Match(Process):
     __slots__ = ("left", "right", "continuation")
+    _roles = "ttp"
 
 
 class Mismatch(Process):
     __slots__ = ("left", "right", "continuation")
+    _roles = "ttp"
 
 
 class New(Process):
     __slots__ = ("binder", "continuation")
+    _roles = "bp"
 
 
 class Parallel(Process):
     __slots__ = ("left", "right")
+    _roles = "pp"
 
 
 class Choice(Process):
     __slots__ = ("left", "right")
+    _roles = "pp"
 
 
 class Replicate(Process):
     __slots__ = ("body",)
+    _roles = "p"
 
 
 class TauPrefix(Process):
     __slots__ = ("continuation",)
+    _roles = "p"
 
 
 def if_then_else(s: Term, t: Term, then_p: Process, else_p: Process) -> Choice:
@@ -161,27 +207,16 @@ def free_vars(p: Process) -> frozenset[str]:
         return p._fv
     except AttributeError:
         pass
-    if isinstance(p, Deadlock):
-        fv = _NO_NAMES
-    elif isinstance(p, Send):
-        fv = _union(_union(term_free_vars(p.channel), term_free_vars(p.payload)),
-                    free_vars(p.continuation))
-    elif isinstance(p, Receive):
-        fv = _union(term_free_vars(p.channel),
-                    _without(free_vars(p.continuation), p.binder))
-    elif isinstance(p, (Match, Mismatch)):
-        fv = _union(_union(term_free_vars(p.left), term_free_vars(p.right)),
-                    free_vars(p.continuation))
-    elif isinstance(p, New):
-        fv = _without(free_vars(p.continuation), p.binder)
-    elif isinstance(p, (Parallel, Choice)):
-        fv = _union(free_vars(p.left), free_vars(p.right))
-    elif isinstance(p, Replicate):
-        fv = free_vars(p.body)
-    elif isinstance(p, TauPrefix):
-        fv = free_vars(p.continuation)
-    else:
-        raise TypeError(p)
+    terms, binder, subs = p._parts()
+    fv = _NO_NAMES
+    for t in terms:
+        fv = _union(fv, term_free_vars(t))
+    scope = _NO_NAMES
+    for k in subs:
+        scope = _union(scope, free_vars(k))
+    if binder is not None:
+        scope = _without(scope, binder)
+    fv = _union(fv, scope)
     object.__setattr__(p, "_fv", fv)
     return fv
 
@@ -191,18 +226,12 @@ def bound_names(p: Process) -> frozenset[str]:
         return p._bn
     except AttributeError:
         pass
-    if isinstance(p, Deadlock):
-        bn = _NO_NAMES
-    elif isinstance(p, (Send, Match, Mismatch, TauPrefix)):
-        bn = bound_names(p.continuation)
-    elif isinstance(p, (Receive, New)):
-        bn = _union(bound_names(p.continuation), frozenset((p.binder,)))
-    elif isinstance(p, (Parallel, Choice)):
-        bn = _union(bound_names(p.left), bound_names(p.right))
-    elif isinstance(p, Replicate):
-        bn = bound_names(p.body)
-    else:
-        raise TypeError(p)
+    _, binder, subs = p._parts()
+    bn = _NO_NAMES
+    for k in subs:
+        bn = _union(bn, bound_names(k))
+    if binder is not None:
+        bn = _union(bn, frozenset((binder,)))
     object.__setattr__(p, "_bn", bn)
     return bn
 
@@ -245,21 +274,9 @@ def _substitute(q: Process, s: Substitution, taboo: set[str],
     # comes back unchanged, so it is returned as it is
     if s._map.keys().isdisjoint(free_vars(q)) and taboo.isdisjoint(bound_names(q)):
         return q
-    if isinstance(q, Send):
-        return Send(_term(s, q.channel, th), _term(s, q.payload, th),
-                    _substitute(q.continuation, s, taboo, th))
-    if isinstance(q, (Match, Mismatch)):
-        return type(q)(_term(s, q.left, th), _term(s, q.right, th),
-                       _substitute(q.continuation, s, taboo, th))
-    if isinstance(q, TauPrefix):
-        return TauPrefix(_substitute(q.continuation, s, taboo, th))
-    if isinstance(q, (Parallel, Choice)):
-        return type(q)(_substitute(q.left, s, taboo, th), _substitute(q.right, s, taboo, th))
-    if isinstance(q, Replicate):
-        return Replicate(_substitute(q.body, s, taboo, th))
-    if isinstance(q, (Receive, New)):
-        binder = q.binder
-        inner = s
+    terms, binder, subs = q._parts()
+    inner, ren = s, None
+    if binder is not None:
         if binder in s._map:
             inner = Substitution(tuple(b for b in s.bindings if b[0] != binder))
         if binder in taboo or binder in inner.range_vars():
@@ -267,15 +284,11 @@ def _substitute(q: Process, s: Substitution, taboo: set[str],
             new_binder = _fresh_avoiding(binder, used)
             taboo.add(new_binder)
             ren = Substitution.of({binder: Var(new_binder)})
-            body = _substitute(_substitute(q.continuation, ren, taboo, th), inner, taboo, th)
-            if isinstance(q, Receive):
-                return Receive(_term(s, q.channel, th), new_binder, body)
-            return New(new_binder, body)
-        if isinstance(q, Receive):
-            return Receive(_term(s, q.channel, th), binder,
-                           _substitute(q.continuation, inner, taboo, th))
-        return New(binder, _substitute(q.continuation, inner, taboo, th))
-    raise TypeError(q)
+            binder = new_binder
+    if ren is not None:
+        subs = [_substitute(k, ren, taboo, th) for k in subs]
+    return q._rebuild([_term(s, t, th) for t in terms], binder,
+                      [_substitute(k, inner, taboo, th) for k in subs])
 
 
 def _term(s: Substitution, t: Term, th: Optional[Theory]) -> Term:
@@ -290,30 +303,17 @@ def alpha_canonicalize(p: Process) -> Process:
     used: set[str] = set(free_vars(p))
 
     def go(q: Process, ren: dict[str, str]) -> Process:
-        if isinstance(q, Deadlock):
-            return q
-        sub = Substitution.of({x: Var(y) for x, y in ren.items()})
-        if isinstance(q, Send):
-            return Send(sub(q.channel), sub(q.payload), go(q.continuation, ren))
-        if isinstance(q, (Match, Mismatch)):
-            return type(q)(sub(q.left), sub(q.right), go(q.continuation, ren))
-        if isinstance(q, TauPrefix):
-            return TauPrefix(go(q.continuation, ren))
-        if isinstance(q, (Parallel, Choice)):
-            return type(q)(go(q.left, ren), go(q.right, ren))
-        if isinstance(q, Replicate):
-            return Replicate(go(q.body, ren))
-        if isinstance(q, (Receive, New)):
-            binder = q.binder
+        terms, binder, subs = q._parts()
+        if terms:
+            sub = Substitution.of({x: Var(y) for x, y in ren.items()})
+            terms = [sub(t) for t in terms]
+        if binder is not None:
             fresh = _fresh_avoiding(binder, used)
             used.add(fresh)
-            ren2 = dict(ren)
             if fresh != binder or binder in ren:
-                ren2[binder] = fresh
-            if isinstance(q, Receive):
-                return Receive(sub(q.channel), fresh, go(q.continuation, ren2))
-            return New(fresh, go(q.continuation, ren2))
-        raise TypeError(q)
+                ren = {**ren, binder: fresh}
+            binder = fresh
+        return q._rebuild(terms, binder, [go(k, ren) for k in subs])
 
     return go(p, {})
 
@@ -400,86 +400,53 @@ def alpha_equiv(p: Process, q: Process) -> bool:
     return p == q or canonical_render(p) == canonical_render(q)
 
 
-def guard_pairs(p: Process) -> Iterator[tuple[str, Term, Term]]:
+def _nodes(p: Process) -> list[Process]:
+    """Every node of the process, in preorder."""
+    out, todo = [], [p]
+    while todo:
+        q = todo.pop()
+        out.append(q)
+        todo.extend(reversed(q._subs(q)))
+    return out
+
+
+def guard_pairs(p: Process) -> list[tuple[str, Term, Term]]:
     """All match/mismatch guard pairs occurring anywhere in the process."""
-    if isinstance(p, (Match, Mismatch)):
-        yield ("=" if isinstance(p, Match) else "!=", p.left, p.right)
-        yield from guard_pairs(p.continuation)
-    elif isinstance(p, (Send, Receive, TauPrefix, New)):
-        yield from guard_pairs(p.continuation)
-    elif isinstance(p, (Parallel, Choice)):
-        yield from guard_pairs(p.left)
-        yield from guard_pairs(p.right)
-    elif isinstance(p, Replicate):
-        yield from guard_pairs(p.body)
+    return [("=" if type(q) is Match else "!=", q.left, q.right)
+            for q in _nodes(p) if isinstance(q, (Match, Mismatch))]
 
 
-def output_terms(p: Process) -> Iterator[Term]:
+def output_terms(p: Process) -> list[Term]:
     """Payloads of all send prefixes anywhere in the process."""
-    if isinstance(p, Send):
-        yield p.payload
-        yield from output_terms(p.continuation)
-    elif isinstance(p, (Receive, TauPrefix, Match, Mismatch, New)):
-        yield from output_terms(p.continuation)
-    elif isinstance(p, (Parallel, Choice)):
-        yield from output_terms(p.left)
-        yield from output_terms(p.right)
-    elif isinstance(p, Replicate):
-        yield from output_terms(p.body)
+    return [q.payload for q in _nodes(p) if isinstance(q, Send)]
 
 
 def is_pi_fragment(p: Process | ExtendedProcess) -> bool:
     """True when `p` is a process whose every message is a bare variable
     (no theory symbols); a frame literal is outside the pi fragment."""
-    if isinstance(p, Deadlock):
-        return True
-    if isinstance(p, Send):
-        return (isinstance(p.channel, Var) and isinstance(p.payload, Var)
-                and is_pi_fragment(p.continuation))
-    if isinstance(p, Receive):
-        return isinstance(p.channel, Var) and is_pi_fragment(p.continuation)
-    if isinstance(p, (Match, Mismatch)):
-        return (isinstance(p.left, Var) and isinstance(p.right, Var)
-                and is_pi_fragment(p.continuation))
-    if isinstance(p, (New, TauPrefix)):
-        return is_pi_fragment(p.continuation)
-    if isinstance(p, (Parallel, Choice)):
-        return is_pi_fragment(p.left) and is_pi_fragment(p.right)
-    if isinstance(p, Replicate):
-        return is_pi_fragment(p.body)
     if isinstance(p, ExtendedProcess):
         return False
-    raise TypeError(p)
+    terms, _, subs = p._parts()
+    return all(isinstance(t, Var) for t in terms) and all(map(is_pi_fragment, subs))
 
 
 def has_replication(p: Process) -> bool:
-    if isinstance(p, Replicate):
-        return True
-    if isinstance(p, (Send, Receive, Match, Mismatch, New, TauPrefix)):
-        return has_replication(p.continuation)
-    if isinstance(p, (Parallel, Choice)):
-        return has_replication(p.left) or has_replication(p.right)
-    return False
+    return isinstance(p, Replicate) or any(map(has_replication, p._subs(p)))
 
 
 def unfold_replication(p: Process, copies: int) -> Process:
     """Replace every replication by `copies` parallel copies of its body."""
     def go(q: Process) -> Process:
-        if isinstance(q, Replicate):
-            body = go(q.body)
-            if copies <= 0:
-                return Deadlock()
-            out = body
-            for _ in range(copies - 1):
-                out = Parallel(out, body)
-            return out
-        if isinstance(q, (Parallel, Choice)):
-            return type(q)(go(q.left), go(q.right))
-        if isinstance(q, Deadlock):
-            return q
-        # a prefix: the same fields with the continuation, the last, unfolded
-        *head, cont = [getattr(q, f) for f in q.__slots__]
-        return type(q)(*head, go(cont))
+        terms, binder, subs = q._parts()
+        subs = [go(k) for k in subs]
+        if not isinstance(q, Replicate):
+            return q._rebuild(terms, binder, subs)
+        if copies <= 0:
+            return Deadlock()
+        out = body = subs[0]
+        for _ in range(copies - 1):
+            out = Parallel(out, body)
+        return out
 
     return alpha_canonicalize(go(p))
 
@@ -581,40 +548,12 @@ def _with_frame(privates: tuple[str, ...], frame: Substitution, body: Process,
 def _normalize_terms(p: Process, th: Theory) -> Process:
     """Normalize every term; a subtree already in normal form is returned
     as it is, with its cached names."""
-    if isinstance(p, Deadlock):
+    terms, binder, subs = p._parts()
+    normal = [normalize(t, th) for t in terms]
+    normal_subs = [_normalize_terms(k, th) for k in subs]
+    if all(map(operator.is_, normal_subs, subs)) and all(map(operator.eq, normal, terms)):
         return p
-    if isinstance(p, Send):
-        c, m = normalize(p.channel, th), normalize(p.payload, th)
-        k = _normalize_terms(p.continuation, th)
-        if k is p.continuation and c == p.channel and m == p.payload:
-            return p
-        return Send(c, m, k)
-    if isinstance(p, Receive):
-        c = normalize(p.channel, th)
-        k = _normalize_terms(p.continuation, th)
-        if k is p.continuation and c == p.channel:
-            return p
-        return Receive(c, p.binder, k)
-    if isinstance(p, (Match, Mismatch)):
-        s, t = normalize(p.left, th), normalize(p.right, th)
-        k = _normalize_terms(p.continuation, th)
-        if k is p.continuation and s == p.left and t == p.right:
-            return p
-        return type(p)(s, t, k)
-    if isinstance(p, (New, TauPrefix)):
-        k = _normalize_terms(p.continuation, th)
-        if k is p.continuation:
-            return p
-        return New(p.binder, k) if isinstance(p, New) else TauPrefix(k)
-    if isinstance(p, (Parallel, Choice)):
-        l, r = _normalize_terms(p.left, th), _normalize_terms(p.right, th)
-        if l is p.left and r is p.right:
-            return p
-        return type(p)(l, r)
-    if isinstance(p, Replicate):
-        b = _normalize_terms(p.body, th)
-        return p if b is p.body else Replicate(b)
-    raise TypeError(p)
+    return p._rebuild(normal, binder, normal_subs)
 
 
 def promote(p: Process | ExtendedProcess) -> ExtendedProcess:

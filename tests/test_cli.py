@@ -397,3 +397,15 @@ def test_model_check_and_distinguish_unfold_replication(tmp_path):
     two.write_text("in(a, y). 0 | in(a, y). 0\n")
     assert run(["distinguish", str(rep), str(two), THY, "--unfold", "2"])[:2] == (
         1, "not distinguished\n")
+
+
+@pytest.mark.parametrize("command", ["check-bisim", "distinguish", "model-check"])
+def test_replication_without_unfold_names_the_flag_once(tmp_path, command):
+    rep, once, formula = tmp_path / "rep.pi", tmp_path / "once.pi", tmp_path / "f.fm"
+    rep.write_text("rep in(a, y). 0\n")
+    once.write_text("in(a, y). 0\n")
+    formula.write_text("<a?x>tt\n")
+    other = formula if command == "model-check" else once
+    code, _, err = run([command, str(rep), str(other), THY])
+    assert code == 64, err[-500:]
+    assert err.count("--unfold") == 1, err

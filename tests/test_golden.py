@@ -10,7 +10,8 @@ must keep the output byte-identical keeps these digests.  Hash-and-sign, the lar
 the split-over-workers path of `validate_witness`.  Every formula printed
 or read must read back as itself.  Beyond the corpus, the rendered
 `open_bisim_pi_check` output of 40 seeded small pi-fragment pairs (guards,
-restriction, sums, parallel, inputs, free and bound outputs) is pinned too.
+restriction, sums, parallel, inputs, free and bound outputs) is pinned too,
+and one digest covers the check output of 400 such pairs in both modes.
 
 Print the digests of the current source with
 
@@ -171,6 +172,11 @@ PI_DIGESTS = {
         "a0878a63cda11823e806fc3d8909f8d1dd684eacc843b7ae5a4d399008bbf7ed",
 }
 
+# one sha256 over the rendered check output of pi_pair seeds 0-399, all in
+# the early-applied mode, then all in the late-pi mode
+PI_PAIRS_DIGEST = \
+    "7d89bb8112b2aa45e2094acbfec350cd37cffe7e34b2d70590c4034c33e094ad"
+
 ENTRIES = [e for e in corpus.ENTRIES if e.name != "hash-and-sign"]
 HASH_AND_SIGN = next(e for e in corpus.ENTRIES if e.name == "hash-and-sign")
 
@@ -287,20 +293,33 @@ def pi_pair(seed: int) -> tuple[str, str]:
     return p, f"({p} + [x != y] {r})"
 
 
+def pi_rendered(seed: int, mode: str = "late-pi") -> str:
+    """The witness, strategy or unknown line the check of `mode` gives for
+    the seed-th pair under dy-asym."""
+    p, q = pi_pair(seed)
+    th = load_theory(corpus.path("dy-asym.thy"))
+    cfg = CheckConfig(recipe_depth=1, max_depth=16, mode=mode)
+    game = open_bisim_pi_check if mode == "late-pi" else quasi_open_check
+    verdict = game(parse_process(p), parse_process(q), th, cfg)
+    if isinstance(verdict, Bisimilar):
+        return render_witness(verdict.witness)
+    if isinstance(verdict, DistinguishedVerdict):
+        return render_strategy(verdict.strategy)
+    return f"unknown: {verdict.reason}\n"
+
+
 def pi_digest(seed: int) -> str:
     """The digest of the witness or strategy `open_bisim_pi_check` gives
     for the seed-th pair under dy-asym."""
-    p, q = pi_pair(seed)
-    th = load_theory(corpus.path("dy-asym.thy"))
-    cfg = CheckConfig(recipe_depth=1, max_depth=16, mode="late-pi")
-    verdict = open_bisim_pi_check(parse_process(p), parse_process(q), th, cfg)
-    if isinstance(verdict, Bisimilar):
-        text = render_witness(verdict.witness)
-    elif isinstance(verdict, DistinguishedVerdict):
-        text = render_strategy(verdict.strategy)
-    else:
-        text = f"unknown: {verdict.reason}\n"
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(pi_rendered(seed).encode()).hexdigest()
+
+
+def pi_pairs_digest() -> str:
+    h = hashlib.sha256()
+    for mode in ("early-applied", "late-pi"):
+        for seed in range(400):
+            h.update(pi_rendered(seed, mode).encode())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
@@ -342,8 +361,13 @@ def test_pi_game_output_is_pinned(seed):
     assert pi_digest(seed) == PI_DIGESTS[seed]
 
 
+def test_seeded_pi_pairs_output_is_pinned():
+    assert pi_pairs_digest() == PI_PAIRS_DIGEST
+
+
 if __name__ == "__main__":
     for e in ENTRIES + [HASH_AND_SIGN]:
         print(f'    "{e.name}":\n        "{digest(e)}",')
     for seed in range(40):
         print(f'    {seed}:\n        "{pi_digest(seed)}",')
+    print(f'PI_PAIRS_DIGEST = "{pi_pairs_digest()}"')

@@ -6,9 +6,10 @@ import openbisim.terms as terms
 from openbisim.logic import parse_formula
 from openbisim.syntax import (
     Choice, Deadlock, DomainClash, ExtendedProcess, Match, Mismatch, New,
-    Parallel, ParseError, Receive, Replicate, Send, TauPrefix,
-    alpha_canonicalize, alpha_equiv, compose_parallel, free_vars, guard_pairs,
-    make_extended, parse, parse_process, pretty, promote, substitute,
+    Parallel, ParseError, Process, Receive, Replicate, Send, TauPrefix,
+    alpha_canonicalize, alpha_equiv, bound_names, compose_parallel, free_vars,
+    guard_pairs, has_replication, is_pi_fragment, make_extended, output_terms,
+    parse, parse_process, pretty, promote, substitute,
 )
 from openbisim.terms import App, Substitution, Var
 
@@ -164,24 +165,40 @@ def test_make_extended_applies_frame():
     assert ep.body.payload == Var("m")
 
 
-# One instance of every node type, and for each field a second value.
-_X, _Y = Var("x"), Var("y")
+# One instance of every node type, and for each field a second value; then
+# what free_vars, bound_names, guard_pairs, output_terms, is_pi_fragment and
+# has_replication give on the instance.
+_X, _Y, _HX = Var("x"), Var("y"), App("h", (Var("x"),))
+_K = Send(Var("z"), Var("w"), Deadlock())
 NODES = [
-    (Deadlock, ()),
-    (Send, ((_X, _Y), (_Y, _X), (Deadlock(), TauPrefix(Deadlock())))),
-    (Receive, ((_X, _Y), ("z", "w"), (Deadlock(), TauPrefix(Deadlock())))),
-    (Match, ((_X, _Y), (_Y, _X), (Deadlock(), TauPrefix(Deadlock())))),
-    (Mismatch, ((_X, _Y), (_Y, _X), (Deadlock(), TauPrefix(Deadlock())))),
-    (New, (("z", "w"), (Deadlock(), TauPrefix(Deadlock())))),
-    (Parallel, ((Deadlock(), TauPrefix(Deadlock())), (TauPrefix(Deadlock()), Deadlock()))),
-    (Choice, ((Deadlock(), TauPrefix(Deadlock())), (TauPrefix(Deadlock()), Deadlock()))),
-    (Replicate, ((TauPrefix(Deadlock()), Deadlock()),)),
-    (TauPrefix, ((Deadlock(), TauPrefix(Deadlock())),)),
+    (Deadlock, (),
+     (set(), set(), [], [], True, False)),
+    (Send, ((_X, _Y), (_HX, _X), (_K, TauPrefix(Deadlock()))),
+     ({"x", "z", "w"}, set(), [], [_HX, Var("w")], False, False)),
+    (Receive, ((_X, _Y), ("z", "w"), (_K, TauPrefix(Deadlock()))),
+     ({"x", "w"}, {"z"}, [], [Var("w")], True, False)),
+    (Match, ((_X, _Y), (_HX, _X), (_K, TauPrefix(Deadlock()))),
+     ({"x", "z", "w"}, set(), [("=", _X, _HX)], [Var("w")], False, False)),
+    (Mismatch, ((_X, _Y), (_Y, _X), (_K, TauPrefix(Deadlock()))),
+     ({"x", "y", "z", "w"}, set(), [("!=", _X, _Y)], [Var("w")], True, False)),
+    (New, (("z", "w"), (_K, TauPrefix(Deadlock()))),
+     ({"w"}, {"z"}, [], [Var("w")], True, False)),
+    (Parallel, ((Mismatch(_X, _Y, Deadlock()), TauPrefix(Deadlock())),
+                (Send(_X, _HX, _K), Deadlock())),
+     ({"x", "y", "z", "w"}, set(), [("!=", _X, _Y)], [_HX, Var("w")], False, False)),
+    (Choice, ((_K, TauPrefix(Deadlock())), (Receive(_X, "z", _K), Deadlock())),
+     ({"x", "z", "w"}, {"z"}, [], [Var("w"), Var("w")], True, False)),
+    (Replicate, ((_K, Deadlock()),),
+     ({"z", "w"}, set(), [], [Var("w")], True, True)),
+    (TauPrefix, ((Replicate(New("z", Match(_X, _Y, Deadlock()))), Deadlock()),),
+     ({"x", "y"}, {"z"}, [("=", _X, _Y)], [], True, True)),
 ]
+WALKS = (free_vars, bound_names, guard_pairs, output_terms, is_pi_fragment,
+         has_replication)
 
 
-@pytest.mark.parametrize("cls,fields", NODES, ids=[c.__name__ for c, _ in NODES])
-def test_node_protocol(cls, fields):
+@pytest.mark.parametrize("cls,fields,walked", NODES, ids=[c.__name__ for c, *_ in NODES])
+def test_node_protocol(cls, fields, walked):
     values = [first for first, _ in fields]
     p, q = cls(*values), cls(*values)
     assert p == q and hash(p) == hash(q)
@@ -201,6 +218,32 @@ def test_node_protocol(cls, fields):
         with pytest.raises(TypeError):
             cls(*values[:-1])
     assert repr(p) == pretty(p)
+    for walk, want in zip(WALKS, walked):
+        assert walk(p) == want, walk.__name__
+
+
+@pytest.mark.parametrize("slots,roles", [
+    (("channel", "continuation"), "tbp"),   # a role too many
+    (("binder", "continuation"), "p"),      # a role too few
+    (("left", "right"), "tx"),              # no such role
+    (("continuation", "binder"), "pb"),     # a binder after a subprocess
+    (("binder", "other"), "bb"),            # two binders
+])
+def test_roles_that_do_not_fit_the_slots_are_refused(slots, roles):
+    with pytest.raises(TypeError):
+        type("Bad", (Process,), {"__slots__": slots, "_roles": roles})
+
+
+def test_substitute_renames_captured_receive_binder():
+    # in(z, x). [z = x] tau. 0 with z := x: the channel is outside the
+    # binder's scope and takes x; under the binder x is renamed
+    p = Receive(Var("z"), "x", Match(Var("z"), Var("x"), TauPrefix(Deadlock())))
+    out = substitute(p, Substitution.of({"z": Var("x")}))
+    assert isinstance(out, Receive)
+    assert out.channel == Var("x")
+    assert out.binder != "x"
+    guard = out.continuation
+    assert (guard.left, guard.right) == (Var("x"), Var(out.binder))
 
 
 @pytest.mark.parametrize("read,src", [
