@@ -31,8 +31,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import frames as frames_mod
 from .frames import (
-    Distinguished as StaticDistinguished, Frame, _image_from_args, _recipe_key,
-    enumerate_recipes,
+    Distinguished as StaticDistinguished, Frame, _recipe_key, enumerate_recipes,
+    recipe_images,
 )
 from .lts import (
     History, InputSchema, Label, NotPiFragment, ReplicationUnbounded,
@@ -42,8 +42,8 @@ from .lts import (
 from .names import NameGen
 from .syntax import (
     ExtendedProcess, New, Process, bound_names, canonical_key, canonical_render,
-    free_vars, guard_pairs, has_replication, is_pi_fragment, make_extended,
-    make_successor, output_terms, promote, rename_apart, substitute,
+    free_vars, guard_pairs, guards_and_outputs, has_replication, is_pi_fragment,
+    make_extended, make_successor, promote, rename_apart, substitute,
     unfold_replication,
 )
 from .terms import (
@@ -56,7 +56,7 @@ __all__ = [
     "CheckConfig", "Verdict", "Bisimilar", "DistinguishedVerdict", "Unknown",
     "WorldMove", "Strategy", "StaticLeaf", "CapabilityLeaf", "RefineNode",
     "MoveNode", "RelationWitness", "early_root", "quasi_open_check", "open_bisim_pi_check",
-    "validate_witness", "representative_worlds", "pi_worlds",
+    "check_bisim", "validate_witness", "representative_worlds", "pi_worlds",
 ]
 
 
@@ -279,10 +279,9 @@ class _StateView(NamedTuple):
     def of(ep: ExtendedProcess) -> "_StateView":
         free = ((free_vars(ep.body) | ep.frame.range_vars())
                 - ep.frame.domain - frozenset(ep.privates))
-        return _StateView(
-            ep.privates, ep.frame, ep.frame_order, tuple(guard_pairs(ep.body)),
-            tuple(output_terms(ep.body)), free,
-        )
+        guards, outputs = guards_and_outputs(ep.body)
+        return _StateView(ep.privates, ep.frame, ep.frame_order, tuple(guards),
+                          tuple(outputs), free)
 
 
 def representative_worlds(
@@ -485,16 +484,9 @@ def _frame_images(frame: Frame, th: Theory, key: tuple,
     """The theory's ``recipe_images`` entry of a frame under one recipe
     domain `key` (publics, fresh variable and recipe depth): a map from
     recipe to image, filled here with `recipes`, which come in enumeration
-    order.  Images are built bottom-up from the images of each recipe's
-    arguments (frames._image_from_args), which in a convergent theory gives
-    each recipe's normal form without rewriting the instantiated recipe
-    again."""
-    images = th.memo["recipe_images"].setdefault(
-        (frame.privates, frame.binding.bindings, frame.order) + key, {})
-    for r in recipes:
-        if r not in images:
-            images[r] = _image_from_args(r, images, frame, th)
-    return images
+    order (frames.recipe_images)."""
+    return recipe_images(frame, recipes, th, th.memo["recipe_images"].setdefault(
+        (frame.privates, frame.binding.bindings, frame.order) + key, {}))
 
 
 def _top_recipes(lower: tuple[Term, ...], images: dict[Term, Term],
@@ -1388,3 +1380,11 @@ def open_bisim_pi_check(
     pairs = tuple((promote(n.p), promote(n.q))
                   for n in game.nodes.values() if n.key in kept)
     return Bisimilar(RelationWitness(pairs, (promote(p), promote(q)), "late-pi", cfg))
+
+
+def check_bisim(p: Process | ExtendedProcess, q: Process | ExtendedProcess,
+                th: Theory, cfg: CheckConfig = CheckConfig()) -> Verdict:
+    """The check of the mode of `cfg`: open_bisim_pi_check in the late-pi
+    mode, quasi_open_check in the early applied-pi mode."""
+    game = open_bisim_pi_check if cfg.mode == "late-pi" else quasi_open_check
+    return game(p, q, th, cfg)

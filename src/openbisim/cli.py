@@ -34,14 +34,14 @@ from typing import Optional
 from . import corpus as corpus_pkg
 from .bisim import (
     Bisimilar, CapabilityLeaf, CheckConfig, DistinguishedVerdict, MoveNode,
-    RefineNode, RelationWitness, StaticLeaf, Unknown, early_root,
-    open_bisim_pi_check, quasi_open_check, validate_witness,
+    RefineNode, RelationWitness, StaticLeaf, Unknown, check_bisim, early_root,
+    validate_witness,
 )
 from .frames import Distinguished, Equivalent, Frame, static_equiv
 from .lts import History, Label, NotPiFragment, ReplicationUnbounded, early_transitions
 from .logic import (
     Formula, NotDistinguished, Sat, SelfCheckFailed, UnhousedVariable, check,
-    check_pi, distinguish, parse_formula, pretty_formula,
+    check_pi, distinguish, model_check, parse_formula, pretty_formula,
 )
 from .names import NameGen
 from .syntax import (
@@ -296,10 +296,7 @@ def cmd_check_bisim(args) -> int:
         print("valid" if okay else "invalid")
         return EX_OK if okay else EX_NO
 
-    if cfg.mode == "late-pi":
-        verdict = open_bisim_pi_check(left, right, th, cfg)
-    else:
-        verdict = quasi_open_check(left, right, th, cfg)
+    verdict = check_bisim(left, right, th, cfg)
 
     if isinstance(verdict, Bisimilar):
         msg = {"verdict": "bisimilar", "witness-size": len(verdict.witness.pairs)}
@@ -360,10 +357,7 @@ def cmd_model_check(args) -> int:
     cfg = _config(args)
     proc = _read(args.process, parse)
     formula = _read(args.formula, parse_formula)
-    if cfg.mode == "late-pi":
-        result = check_pi(proc, formula, th, cfg)
-    else:
-        result = check(proc, formula, th, cfg)
+    result = model_check(proc, formula, th, cfg)
     _emit(args, {"verdict": result.value}, result.value)
     return {"sat": EX_OK, "unsat": EX_NO, "unknown": EX_UNKNOWN}[result.value]
 
@@ -467,10 +461,7 @@ def _run_entry(e) -> tuple[str, str]:
     left = parse(corpus_pkg.read(e.left))
     if e.kind in ("bisim", "bisim-pi"):
         right = parse(corpus_pkg.read(e.right))
-        if e.kind == "bisim-pi":
-            verdict = open_bisim_pi_check(left, right, th, cfg)
-        else:
-            verdict = quasi_open_check(left, right, th, cfg)
+        verdict = check_bisim(left, right, th, cfg)
         if isinstance(verdict, Bisimilar):
             if not validate_witness(verdict.witness, th, cfg):
                 return "invalid-witness", ""

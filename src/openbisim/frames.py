@@ -81,9 +81,6 @@ class Distinguished:
     right_recipe: Term
     equal_on: str  # "a" or "b": the side where the recipe pair coincides
 
-    def pair(self) -> tuple[Term, Term]:
-        return (self.left_recipe, self.right_recipe)
-
 
 @dataclass(frozen=True)
 class UnknownAtDepth:
@@ -200,10 +197,12 @@ def _image_from_args(r: Term, images: dict[Term, Term], frame: Frame,
     return frame.image(r, th)
 
 
-def recipe_images(frame: Frame, recipes: Iterable[Term],
-                  th: Theory) -> list[Term]:
-    """The images under `frame` of `recipes`, which come in enumeration
-    order: every argument of a compound recipe comes before the recipe.
+def recipe_images(frame: Frame, recipes: Iterable[Term], th: Theory,
+                  images: Optional[dict[Term, Term]] = None) -> dict[Term, Term]:
+    """A map from each of `recipes` to its image under `frame`: `images`,
+    a map of images known already, filled in, or a new map.  The recipes
+    come in enumeration order: every argument of a compound recipe comes
+    before the recipe, or is in `images`.
 
     Images are built bottom-up.  The image of f(r1..rn) is the normal form
     of f(img(r1)..img(rn)); its arguments are normal already, so in a
@@ -211,14 +210,11 @@ def recipe_images(frame: Frame, recipes: Iterable[Term],
     (`normalize_root`).  This equals frame.image(r), which normalizes the
     whole instantiated recipe again.
     """
-    images: dict[Term, Term] = {}
-    out = []
+    images = {} if images is None else images
     for r in recipes:
-        img = images.get(r)
-        if img is None:
-            img = images[r] = _image_from_args(r, images, frame, th)
-        out.append(img)
-    return out
+        if r not in images:
+            images[r] = _image_from_args(r, images, frame, th)
+    return images
 
 
 def enumerate_recipes(
@@ -237,7 +233,10 @@ def enumerate_recipes(
     under the frame is that of a recipe listed before it.  Without it every
     recipe is listed, and each constructor layer after the first lists the
     layer before it again, since it applies the symbols to all earlier
-    recipes.
+    recipes.  The checker itself always enumerates without `dedup`; the
+    option stays because it is the one enumeration that images recipes as
+    it goes, and perfbench/selftest.py enumerates with it to see that the
+    normalize calls made inside this module are traced.
 
     The (size, rendering) sort key of a compound recipe is built from the
     keys of its arguments, which are always listed earlier
@@ -433,8 +432,9 @@ def _static_equiv(a: Frame, b: Frame, th: Theory, depth: int) -> Verdict:
     ))
     for frame, other in ((a, b), (b, a)):
         groups: dict[Term, list[Term]] = {}
-        for r, img in zip(recipes, recipe_images(frame, recipes, th)):
-            groups.setdefault(img, []).append(r)
+        images = recipe_images(frame, recipes, th)
+        for r in recipes:
+            groups.setdefault(images[r], []).append(r)
         for img, group in groups.items():
             if len(group) < 2:
                 continue

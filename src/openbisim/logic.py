@@ -21,6 +21,7 @@ UNKNOWN quarantines truncation instead of guessing.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
@@ -28,8 +29,7 @@ from typing import Iterable, Optional
 from .bisim import (
     Bisimilar, CapabilityLeaf, CheckConfig, MoveNode, RefineNode, StaticLeaf,
     Strategy, Unknown, WorldMove, apply_world_move, canonical_render_term,
-    early_root, open_bisim_pi_check, pi_worlds, quasi_open_check,
-    representative_worlds,
+    check_bisim, early_root, pi_worlds, representative_worlds,
 )
 from .lts import (
     History, Label, NotPiFragment, early_answers, early_transitions,
@@ -48,8 +48,8 @@ from .terms import (
 __all__ = [
     "Formula", "Top", "Bottom", "Equal", "And", "Or", "Implies", "Diamond",
     "Box", "Sat", "UnhousedVariable", "SelfCheckFailed",
-    "NotDistinguished", "check", "check_pi", "distinguish", "parse_formula",
-    "pretty_formula", "neq", "formula_alpha_equiv",
+    "NotDistinguished", "check", "check_pi", "model_check", "distinguish",
+    "parse_formula", "pretty_formula", "neq", "formula_alpha_equiv",
 ]
 
 
@@ -130,24 +130,19 @@ def neq(left: Term, right: Term) -> Formula:
     return Implies(Equal(left, right), Bottom())
 
 
+def _fold(op, unit: Formula, parts: Iterable[Formula]) -> Formula:
+    """`op` folded from the left over `parts` less their units; `unit`
+    when none is left."""
+    kept = [p for p in parts if not isinstance(p, type(unit))]
+    return functools.reduce(op, kept) if kept else unit
+
+
 def conj(parts: Iterable[Formula]) -> Formula:
-    parts = [p for p in parts if not isinstance(p, Top)]
-    if not parts:
-        return Top()
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return _fold(And, Top(), parts)
 
 
 def disj(parts: Iterable[Formula]) -> Formula:
-    parts = [p for p in parts if not isinstance(p, Bottom)]
-    if not parts:
-        return Bottom()
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return _fold(Or, Bottom(), parts)
 
 
 def formula_vars(f: Formula) -> frozenset[str]:
@@ -475,6 +470,13 @@ def check_pi(
     return checker.eval((h, p), f)
 
 
+def model_check(p: Process | ExtendedProcess, f: Formula, th: Theory,
+                cfg: CheckConfig = CheckConfig()) -> Sat:
+    """Satisfaction in the mode of `cfg`: check_pi in the late-pi mode,
+    check in the early applied-pi mode."""
+    return (check_pi if cfg.mode == "late-pi" else check)(p, f, th, cfg)
+
+
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
@@ -652,22 +654,17 @@ def _move_constraints(mv: WorldMove) -> Formula:
 
 
 def _enabling_tags(node, side: int, label: Label, th: Theory,
-                   cfg: CheckConfig, mode: str) -> list[Formula]:
+                   cfg: CheckConfig) -> list[Formula]:
     """Constraint formulas of worlds in which `side`'s process gains a
     transition matching `label` (used in the box branch of the generation)."""
+    if cfg.mode == "late-pi":
+        h, p, q = node
+        guards = guard_pairs((p, q)[side])
+        # a fresh extension enabling each mismatch, then each match
+        return ([neq(s, t) for k, s, t in guards if k == "!="]
+                + [Equal(s, t) for k, s, t in guards if k == "=" and s != t])
     gen = NameGen()
     tags: list[Formula] = []
-    if mode == "late-pi":
-        h, p, q = node
-        proc = (p, q)[side]
-        guards = [(s, t) for k, s, t in guard_pairs(proc) if k == "!="]
-        for s, t in guards:
-            # a fresh extension enabling this mismatch
-            tags.append(neq(s, t))
-        for k, s, t in guard_pairs(proc):
-            if k == "=" and s != t:
-                tags.append(Equal(s, t))
-        return tags
     a, b = node
     ep = (a, b)[side]
     moves, _ = representative_worlds((a, b), th, gen)
@@ -681,7 +678,7 @@ def _enabling_tags(node, side: int, label: Label, th: Theory,
     return tags
 
 
-def _formulas_from_strategy(s: Strategy, th: Theory, cfg: CheckConfig, mode: str,
+def _formulas_from_strategy(s: Strategy, th: Theory, cfg: CheckConfig,
                             guard_both: bool = False) -> tuple[Formula, Formula]:
     """Candidate pair (phi_L, phi_R): phi_L biased to the left process,
     phi_R to the right.  A refine step guards the formula of the side that
@@ -692,11 +689,11 @@ def _formulas_from_strategy(s: Strategy, th: Theory, cfg: CheckConfig, mode: str
         return (eq, ne) if s.equal_on == "a" else (ne, eq)
     if isinstance(s, CapabilityLeaf):
         mover = Diamond(s.label, Top())
-        tags = _enabling_tags(s.node, 1 - s.side, s.label, th, cfg, mode) if s.node else []
+        tags = _enabling_tags(s.node, 1 - s.side, s.label, th, cfg) if s.node else []
         other = Box(s.label, disj(tags))
         return (mover, other) if s.side == 0 else (other, mover)
     if isinstance(s, RefineNode):
-        l, r = _formulas_from_strategy(s.child, th, cfg, mode, guard_both)
+        l, r = _formulas_from_strategy(s.child, th, cfg, guard_both)
         guard = _move_constraints(s.move)
         mover_side = _strategy_side(s.child)
         if guard_both or mover_side == 0:
@@ -705,7 +702,7 @@ def _formulas_from_strategy(s: Strategy, th: Theory, cfg: CheckConfig, mode: str
             r = Implies(guard, r)
         return (l, r)
     if isinstance(s, MoveNode):
-        subs = [_formulas_from_strategy(c, th, cfg, mode, guard_both) for c in s.children]
+        subs = [_formulas_from_strategy(c, th, cfg, guard_both) for c in s.children]
         mover = Diamond(s.label, conj(p[s.side] for p in subs))
         other = Box(s.label, disj(p[1 - s.side] for p in subs))
         return (mover, other) if s.side == 0 else (other, mover)
@@ -720,10 +717,10 @@ def _strategy_side(s: Strategy) -> int:
     return 0
 
 
-def _candidate_pairs(s: Strategy, th: Theory, cfg: CheckConfig, mode: str):
-    yield _formulas_from_strategy(s, th, cfg, mode)
+def _candidate_pairs(s: Strategy, th: Theory, cfg: CheckConfig):
+    yield _formulas_from_strategy(s, th, cfg)
     # fallback: guard every refine step on both sides
-    yield _formulas_from_strategy(s, th, cfg, mode, guard_both=True)
+    yield _formulas_from_strategy(s, th, cfg, guard_both=True)
 
 
 def distinguish(
@@ -734,10 +731,7 @@ def distinguish(
 ):
     """Emit a left-biased and a right-biased distinguishing formula, both
     self-checked against the model checker; or NotDistinguished/Unknown."""
-    if cfg.mode == "late-pi":
-        verdict = open_bisim_pi_check(p, q, th, cfg)
-    else:
-        verdict = quasi_open_check(p, q, th, cfg)
+    verdict = check_bisim(p, q, th, cfg)
     if isinstance(verdict, Bisimilar):
         return NotDistinguished()
     if isinstance(verdict, Unknown):
@@ -749,12 +743,10 @@ def distinguish(
         p, q = early_root(p, q, th, cfg)
 
     def sat(proc, f):
-        if cfg.mode == "late-pi":
-            return check_pi(proc, f, th, cfg)
-        return check(proc, f, th, cfg)
+        return model_check(proc, f, th, cfg)
 
     attempts = []
-    for fl, fr in _candidate_pairs(verdict.strategy, th, cfg, cfg.mode):
+    for fl, fr in _candidate_pairs(verdict.strategy, th, cfg):
         ok = (
             sat(p, fl) is Sat.SAT and sat(q, fl) is Sat.UNSAT
             and sat(q, fr) is Sat.SAT and sat(p, fr) is Sat.UNSAT

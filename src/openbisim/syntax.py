@@ -1,5 +1,5 @@
 """Process and extended-process ASTs, the concrete textual language, parser,
-pretty-printer, alpha-canonicalization, and normal-form composition.
+pretty-printer, alpha-canonicalization, and the extended-process normal form.
 
 Concrete syntax (keywords, no Unicode):
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .terms import (
-    App, ParseError, Reader, Substitution, Term, Theory, Var,
+    ParseError, Reader, Substitution, Term, Theory, Var,
     free_vars as term_free_vars, normalize, render_term,
 )
 
@@ -35,8 +35,8 @@ __all__ = [
     "Parallel", "Choice", "Replicate", "TauPrefix", "ExtendedProcess",
     "ParseError", "parse", "parse_process", "pretty", "free_vars",
     "alpha_canonicalize", "substitute", "alpha_equiv", "guard_pairs",
-    "make_extended", "make_successor", "compose_parallel", "rename_apart",
-    "DomainClash", "is_pi_fragment", "has_replication", "canonical_render",
+    "make_extended", "make_successor", "rename_apart", "guards_and_outputs",
+    "is_pi_fragment", "has_replication", "canonical_render",
     "unfold_replication",
 ]
 
@@ -412,13 +412,20 @@ def _nodes(p: Process) -> list[Process]:
 
 def guard_pairs(p: Process) -> list[tuple[str, Term, Term]]:
     """All match/mismatch guard pairs occurring anywhere in the process."""
-    return [("=" if type(q) is Match else "!=", q.left, q.right)
-            for q in _nodes(p) if isinstance(q, (Match, Mismatch))]
+    return guards_and_outputs(p)[0]
 
 
-def output_terms(p: Process) -> list[Term]:
-    """Payloads of all send prefixes anywhere in the process."""
-    return [q.payload for q in _nodes(p) if isinstance(q, Send)]
+def guards_and_outputs(p: Process) -> tuple[list[tuple[str, Term, Term]], list[Term]]:
+    """guard_pairs(p) and the payloads of all send prefixes anywhere in the
+    process, in preorder, from one walk."""
+    guards: list[tuple[str, Term, Term]] = []
+    outputs: list[Term] = []
+    for q in _nodes(p):
+        if isinstance(q, Send):
+            outputs.append(q.payload)
+        elif isinstance(q, (Match, Mismatch)):
+            guards.append(("=" if type(q) is Match else "!=", q.left, q.right))
+    return guards, outputs
 
 
 def is_pi_fragment(p: Process | ExtendedProcess) -> bool:
@@ -453,10 +460,6 @@ def unfold_replication(p: Process, copies: int) -> Process:
 
 # ---------------------------------------------------------------------------
 # Extended processes
-
-
-class DomainClash(Exception):
-    pass
 
 
 @dataclass(frozen=True, repr=False)
@@ -584,26 +587,6 @@ def rename_apart(ep: ExtendedProcess, clash: Iterable[str],
         tuple(ren.get(x, x) for x in ep.privates),
         Substitution.of({x: sub(t) for x, t in ep.frame.bindings}),
         substitute(ep.body, sub), ep.frame_order,
-    )
-
-
-def compose_parallel(a: ExtendedProcess, b: ExtendedProcess) -> ExtendedProcess:
-    """Normal-form parallel composition with capture-avoiding renaming of the
-    private names (defined only for disjoint frame domains)."""
-    if a.frame.domain & b.frame.domain:
-        clash = sorted(a.frame.domain & b.frame.domain)
-        raise DomainClash(f"frame domains overlap on {', '.join(clash)}")
-
-    avoid = set(a.free_variables()) | set(b.free_variables()) | set(b.privates)
-    a = rename_apart(a, avoid)
-    b = rename_apart(b, avoid | set(a.privates)
-                     | {v for _, t in a.frame.bindings for v in term_free_vars(t)})
-    merged = Substitution(tuple(a.frame.bindings) + tuple(b.frame.bindings))
-    if not merged.is_idempotent():
-        raise DomainClash("merged frame is not idempotent")
-    return ExtendedProcess(
-        a.privates + b.privates, merged, Parallel(a.body, b.body),
-        a.frame_order + b.frame_order,
     )
 
 

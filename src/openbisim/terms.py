@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from . import kernel
+from . import corpus, kernel
 
 __all__ = [
     "Term", "Var", "App", "Substitution", "RewriteRule", "Theory",
@@ -194,13 +194,7 @@ class Substitution:
         return self._map.get(x)
 
     def __call__(self, t: Term) -> Term:
-        if not self.bindings:
-            return t
-        if isinstance(t, Var):
-            return self._map.get(t.name, t)
-        if not (free_vars(t) & self._map.keys()):
-            return t
-        return App(t.fn, tuple(self(a) for a in t.args))
+        return apply_map(t, self._map) if self._map else t
 
     def compose(self, other: "Substitution") -> "Substitution":
         """Return s such that t(s) == (t(self))(other) for all terms t."""
@@ -282,13 +276,14 @@ def _is_subterm_rule(rule: RewriteRule) -> bool:
     )
 
 
-def _is_size_decreasing(rule: RewriteRule) -> bool:
-    return term_size(rule.rhs) < term_size(rule.lhs)
-
-
 @dataclass(frozen=True)
 class Theory:
     """Signature (symbol -> arity), ordered convergent rules, narrowing bound.
+
+    A theory is read from a `.thy` file by load_theory or parse_theory; the
+    bundled ones are the files of the corpus package (dy_asym and dy_blind
+    load two of them).  `saturation_complete`, unless given, holds when
+    every rule is a subterm rule (_is_subterm_rule).
 
     `memo` holds every memo table computed under the theory, by name (the
     normal forms, the unifiers, static equivalence, the payload tables of
@@ -322,15 +317,6 @@ class Theory:
                 all(_is_subterm_rule(r) for r in self.rules),
             )
 
-    # termination metadata: decreasing-size check over the bundled theories
-    @property
-    def size_decreasing(self) -> bool:
-        return all(_is_size_decreasing(r) for r in self.rules)
-
-    @property
-    def subterm_convergent(self) -> bool:
-        return all(_is_subterm_rule(r) for r in self.rules)
-
     def _check_symbol(self, t: App) -> None:
         arity = self.signature.get(t.fn)
         if arity is None:
@@ -347,10 +333,6 @@ class Theory:
 
     def symbols(self) -> tuple[tuple[str, int], ...]:
         return tuple(sorted(self.signature.items()))
-
-    def parse(self, text: str) -> Term:
-        """Parse a term, reading declared nullary symbols as constants."""
-        return _promote_constants(parse_term(text), self.signature)
 
     def __hash__(self) -> int:
         return hash((self.name, tuple(self.signature.items()), self.rules))
@@ -995,39 +977,12 @@ def load_theory(path: str) -> Theory:
 
 
 # ---------------------------------------------------------------------------
-# Bundled theories
-
-_DY_ASYM_TEXT = """
-# Asymmetric encryption, hashing, pairing.
-sym pk/1
-sym hash/1
-sym pair/2
-sym aenc/2
-sym adec/2
-sym fst/1
-sym snd/1
-rule adec(aenc(M, pk(K)), K) -> M
-rule aenc(adec(M, K), pk(K)) -> M
-rule fst(pair(M, N)) -> M
-rule snd(pair(M, N)) -> N
-"""
-
-_DY_BLIND_TEXT = _DY_ASYM_TEXT + """
-# Blind signatures on top of the asymmetric base.
-sym sign/2
-sym blind/2
-sym unblind/2
-rule unblind(sign(blind(M, N), K), N) -> sign(M, K)
-meta saturation_complete = true
-"""
+# Bundled theories: each is kept once, as a file of the corpus package
 
 
 def dy_asym() -> Theory:
-    return parse_theory(_DY_ASYM_TEXT, name="dy-asym")
+    return load_theory(corpus.path("dy-asym.thy"))
 
 
 def dy_blind() -> Theory:
-    return parse_theory(_DY_BLIND_TEXT, name="dy-blind")
-
-
-THEORY_SOURCES = {"dy-asym": _DY_ASYM_TEXT, "dy-blind": _DY_BLIND_TEXT}
+    return load_theory(corpus.path("dy-blind.thy"))

@@ -206,7 +206,8 @@ def exhaustive_payload_candidates(a, b, th, cfg, gen_fresh_name, memo=None):
     for frame in (frame_a, frame_b):
         key = (frame.privates, frame.binding, domain)
         if key not in memo:
-            memo[key] = recipe_images(frame, recipes, th)
+            table = recipe_images(frame, recipes, th)
+            memo[key] = [table[r] for r in recipes]
         images.append(memo[key])
     fresh = Var(gen_fresh_name)
     seen = {(frame_a.image(fresh, th), frame_b.image(fresh, th))}

@@ -15,6 +15,7 @@ from openbisim.bisim import (
     apply_world_move, open_bisim_pi_check, quasi_open_check,
     representative_worlds, validate_witness,
 )
+from openbisim import corpus
 from openbisim.frames import Distinguished, Equivalent, Frame, static_equiv
 from openbisim.logic import (
     Sat, check, distinguish, formula_alpha_equiv, parse_formula,
@@ -24,13 +25,13 @@ from openbisim.lts import barbs
 from openbisim.names import NameGen
 from openbisim.syntax import make_extended, parse, parse_process, promote
 from openbisim.terms import (
-    Entailment, Substitution, Var, dy_asym, dy_blind, entails_neq, parse_term,
-    parse_theory, THEORY_SOURCES,
+    Entailment, Substitution, Var, dy_asym, dy_blind, entails_neq, load_theory,
+    parse_term,
 )
 
 TH = dy_asym()
 THB = dy_blind()
-TH_SIGN = parse_theory(THEORY_SOURCES["dy-asym"] + "sym sign/2", name="dy-sign")
+TH_SIGN = load_theory(corpus.path("dy-sign.thy"))
 CFG = CheckConfig(recipe_depth=1, max_depth=24)
 CFG2 = CheckConfig(recipe_depth=2, max_depth=24)
 PI_CFG = CheckConfig(recipe_depth=1, max_depth=20, mode="late-pi")

@@ -10,7 +10,8 @@ from openbisim.bisim import (
 from openbisim.logic import distinguish, formula_alpha_equiv
 from openbisim.lts import NotPiFragment, ReplicationUnbounded, barbs
 from openbisim.syntax import parse, parse_process, pretty, promote
-from openbisim.terms import dy_asym, dy_blind, parse_theory, THEORY_SOURCES
+from openbisim import corpus
+from openbisim.terms import dy_asym, dy_blind, load_theory
 
 TH = dy_asym()
 THB = dy_blind()
@@ -180,7 +181,7 @@ BLIND_S = ("new n. out(a, n). in(a, x). new k. out(a, sign(x, k)). in(a, y). "
 
 
 def test_blind_signature_pair():
-    th_sign = parse_theory(THEORY_SOURCES["dy-asym"] + "sym sign/2", name="dy-sign")
+    th_sign = load_theory(corpus.path("dy-sign.thy"))
     assert verdict(BLIND_R, BLIND_S, th=th_sign) == "Bisimilar"
     assert verdict(BLIND_R, BLIND_S, th=THB) == "DistinguishedVerdict"
 
@@ -528,8 +529,8 @@ def _rigid_meet(w1):
     identifying the rigid names a and c through the ?0 of the guard's
     narrowing target aenc(pair(?1, pk(a)), pk(?0))."""
     return _view(("a", "b", "c", "x", "y"),
-                 [("w1", _BLIND.parse(w1)), ("w2", _BLIND.parse("pk(a)"))],
-                 [("=", _BLIND.parse("snd(adec(x, y))"), _BLIND.parse("pk(a)"))], [])
+                 [("w1", parse_term(w1)), ("w2", parse_term("pk(a)"))],
+                 [("=", parse_term("snd(adec(x, y))"), parse_term("pk(a)"))], [])
 
 
 _RIGID_MEET_1 = _rigid_meet("pair(b, pk(c))")   # aenc(w1, w2)

@@ -270,7 +270,7 @@ def test_recursion_too_deep_exits_70(tmp_path):
         "import sys, openbisim.cli as cli\n"
         "def deep(*args):\n"
         "    raise RecursionError('maximum recursion depth exceeded')\n"
-        "cli.check = deep\n"
+        "cli.model_check = deep\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     proc = subprocess.run(

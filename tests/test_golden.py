@@ -11,7 +11,8 @@ the split-over-workers path of `validate_witness`.  Every formula printed
 or read must read back as itself.  Beyond the corpus, the rendered
 `open_bisim_pi_check` output of 40 seeded small pi-fragment pairs (guards,
 restriction, sums, parallel, inputs, free and bound outputs) is pinned too,
-and one digest covers the check output of 400 such pairs in both modes.
+one digest covers the check output of 400 such pairs in both modes, and one
+covers what `distinguish` gives on the first 100 of them in both modes.
 
 Print the digests of the current source with
 
@@ -30,8 +31,10 @@ from openbisim.bisim import (
     open_bisim_pi_check, quasi_open_check, validate_witness,
 )
 from openbisim.cli import render_strategy, render_witness
+from openbisim.bisim import Unknown
 from openbisim.logic import (
-    check, distinguish, formula_alpha_equiv, parse_formula, pretty_formula,
+    NotDistinguished, check, distinguish, formula_alpha_equiv, parse_formula,
+    pretty_formula,
 )
 from openbisim.syntax import parse, parse_process
 from openbisim.terms import load_theory
@@ -176,6 +179,11 @@ PI_DIGESTS = {
 # the early-applied mode, then all in the late-pi mode
 PI_PAIRS_DIGEST = \
     "7d89bb8112b2aa45e2094acbfec350cd37cffe7e34b2d70590c4034c33e094ad"
+
+# one sha256 over what `distinguish` gives on pi_pair seeds 0-99, all in the
+# early-applied mode, then all in the late-pi mode
+PI_DISTINGUISH_DIGEST = \
+    "92831e0bd93a4149b5dbbb3da00516c53b61add7b26d656b070a194130122570"
 
 ENTRIES = [e for e in corpus.ENTRIES if e.name != "hash-and-sign"]
 HASH_AND_SIGN = next(e for e in corpus.ENTRIES if e.name == "hash-and-sign")
@@ -322,6 +330,34 @@ def pi_pairs_digest() -> str:
     return h.hexdigest()
 
 
+def pi_distinguished(seed: int, mode: str) -> str:
+    """The two formulas, `not distinguished`, the unknown line or the name
+    of the exception `distinguish` gives in `mode` for the seed-th pair
+    under dy-asym."""
+    p, q = pi_pair(seed)
+    th = load_theory(corpus.path("dy-asym.thy"))
+    cfg = CheckConfig(recipe_depth=1, max_depth=16, mode=mode)
+    try:
+        got = distinguish(parse_process(p), parse_process(q), th, cfg)
+    except Exception as exc:
+        return f"{type(exc).__name__}\n"
+    if isinstance(got, NotDistinguished):
+        return "not distinguished\n"
+    if isinstance(got, Unknown):
+        return f"unknown: {got.reason}\n"
+    fl, fr = got
+    return (f"left-biased:  {pretty_formula(fl)}\n"
+            f"right-biased: {pretty_formula(fr)}\n")
+
+
+def pi_distinguish_digest() -> str:
+    h = hashlib.sha256()
+    for mode in ("early-applied", "late-pi"):
+        for seed in range(100):
+            h.update(pi_distinguished(seed, mode).encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
 def test_corpus_output_is_pinned(entry):
     assert digest(entry) == DIGESTS[entry.name]
@@ -365,9 +401,14 @@ def test_seeded_pi_pairs_output_is_pinned():
     assert pi_pairs_digest() == PI_PAIRS_DIGEST
 
 
+def test_seeded_pi_pairs_distinguish_is_pinned():
+    assert pi_distinguish_digest() == PI_DISTINGUISH_DIGEST
+
+
 if __name__ == "__main__":
     for e in ENTRIES + [HASH_AND_SIGN]:
         print(f'    "{e.name}":\n        "{digest(e)}",')
     for seed in range(40):
         print(f'    {seed}:\n        "{pi_digest(seed)}",')
     print(f'PI_PAIRS_DIGEST = "{pi_pairs_digest()}"')
+    print(f'PI_DISTINGUISH_DIGEST = "{pi_distinguish_digest()}"')

@@ -103,7 +103,7 @@ def test_each_failure_class_has_its_exit_code(capsys, files, monkeypatch):
     def deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(cli, "check", deep)
+    monkeypatch.setattr(cli, "model_check", deep)
     assert main(capsys, ["model-check", pi, tau, THY]) == (
         70, "", "internal error: recursion too deep\n")
 

@@ -27,7 +27,7 @@ def test_distinguish_never_returns_unchecked_formulas(monkeypatch):
     # garbage rather than emit it silently
     monkeypatch.setattr(
         logic_mod, "_candidate_pairs",
-        lambda s, th, cfg, mode: iter([(Top(), Top()), (Bottom(), Bottom())]),
+        lambda s, th, cfg: iter([(Top(), Top()), (Bottom(), Bottom())]),
     )
     with pytest.raises(SelfCheckFailed):
         distinguish(parse_process("tau. 0"), parse_process("0"), TH, CFG)

@@ -1,15 +1,15 @@
-"""Syntax-layer tests: parsing, printing, alpha handling, composition."""
+"""Syntax-layer tests: parsing, printing, alpha handling, renaming apart."""
 
 import pytest
 
 import openbisim.terms as terms
 from openbisim.logic import parse_formula
 from openbisim.syntax import (
-    Choice, Deadlock, DomainClash, ExtendedProcess, Match, Mismatch, New,
+    Choice, Deadlock, ExtendedProcess, Match, Mismatch, New,
     Parallel, ParseError, Process, Receive, Replicate, Send, TauPrefix,
-    alpha_canonicalize, alpha_equiv, bound_names, compose_parallel, free_vars,
-    guard_pairs, has_replication, is_pi_fragment, make_extended, output_terms,
-    parse, parse_process, pretty, promote, substitute,
+    alpha_canonicalize, alpha_equiv, bound_names, free_vars, guard_pairs,
+    guards_and_outputs, has_replication, is_pi_fragment, make_extended, parse,
+    parse_process, pretty, promote, rename_apart, substitute,
 )
 from openbisim.terms import App, Substitution, Var
 
@@ -126,31 +126,16 @@ def test_parse_extended():
     assert ep.frame_order == ("v", "w")
 
 
-def test_compose_parallel_empty_frames():
-    a = promote(parse_process("in(u, w). 0"))
-    b = promote(parse_process("out(c, d). 0"))
-    c = compose_parallel(a, b)
-    assert c.privates == ()
-    assert c.frame.is_identity()
-    assert isinstance(c.body, Parallel)
-
-
-def test_compose_parallel_renames_capture():
-    a = parse("new z. {u = z}")
+def test_rename_apart_renames_capture():
+    a = parse("new z. {u = z} | out(c, z). 0")
     assert isinstance(a, ExtendedProcess)
-    b = promote(parse_process("in(z, w). 0"))  # free z on the right
-    c = compose_parallel(a, b)
-    # the private z of the left was renamed away from the right's free z
+    b = promote(parse_process("in(z, w). 0"))  # free z on the other side
+    c = rename_apart(a, b.free_variables())
+    # the private z was renamed away from the other side's free z
     assert c.privates and c.privates[0] != "z"
     assert c.frame.get("u") == Var(c.privates[0])
-    assert "z" in free_vars(c.body)
-
-
-def test_compose_parallel_domain_clash():
-    a = parse("new m. {u = m}")
-    b = parse("new n. {u = n}")
-    with pytest.raises(DomainClash):
-        compose_parallel(a, b)
+    assert c.body == Send(Var("c"), Var(c.privates[0]), Deadlock())
+    assert rename_apart(c, b.free_variables()) is c
 
 
 def test_make_extended_drops_unused_privates():
@@ -168,6 +153,12 @@ def test_make_extended_applies_frame():
 # One instance of every node type, and for each field a second value; then
 # what free_vars, bound_names, guard_pairs, output_terms, is_pi_fragment and
 # has_replication give on the instance.
+
+
+def output_terms(p):
+    return guards_and_outputs(p)[1]
+
+
 _X, _Y, _HX = Var("x"), Var("y"), App("h", (Var("x"),))
 _K = Send(Var("z"), Var("w"), Deadlock())
 NODES = [
