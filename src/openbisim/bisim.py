@@ -1070,7 +1070,6 @@ def quasi_open_check(
 
 def validate_witness(
     witness: RelationWitness, th: Theory, cfg: Optional[CheckConfig] = None,
-    _processes: Optional[int] = None,
 ) -> bool:
     """Re-verify a Bisimilar verdict.  Early applied-pi: every pair is
     statically equivalent and every representative world move and
@@ -1080,9 +1079,10 @@ def validate_witness(
 
     Each early applied-pi pair is checked on its own against the witness's
     keys, so the pairs are shared out over one process per usable CPU,
-    forked workers beside this one (_forked_all); the result, or the
-    exception, is the one-process one.  `_processes` forces the number of
-    processes, whatever the CPUs and the witness size (for tests)."""
+    forked workers beside this one (_forked_all).  The workers report by
+    their exit status; if any process fails, this one checks again every
+    block it did not pass, so the result, or the exception, is the
+    one-process one."""
     cfg = cfg or witness.config
     if witness.mode == "late-pi":
         # the pairs carry no histories: play the game from the root again,
@@ -1129,7 +1129,7 @@ def validate_witness(
         return True
 
     jobs = list(zip(witness.pairs, pair_keys))
-    return _forked_all(valid, jobs, _processes or _usable_cpus(len(jobs)))
+    return _forked_all(valid, jobs, _usable_cpus(len(jobs)))
 
 
 # Below this many pairs a witness is validated in one process.  Forking and
@@ -1158,79 +1158,48 @@ def _forked_all(check, jobs: list, processes: int) -> bool:
     processes.  The jobs are cut into contiguous blocks; block j goes to
     process j mod `processes`, this one being process 0 and each other one
     a forked worker.  Every process checks its blocks in order and stops at
-    the first that fails; a worker reports one byte per block over a pipe.
-    Results are combined in block order, so a False or an exception of an
-    earlier block wins; a block without a result (its worker raised, died or
-    could not be forked) is checked again here, which raises its exception.
-    Every worker is killed and reaped before this returns.  Without
-    `os.fork`, or while another thread runs, it is `check(jobs)`."""
+    the first that fails; a worker reports by its exit status alone, 0 when
+    all its blocks passed.  When every process passes, the answer is True.
+    On any failure (a block of this process that fails or raises, a fork
+    that fails, a worker that exits non-zero or is killed) the blocks this
+    process did not pass are checked again here in block order, which gives
+    the one-process answer, or exception, by construction.  Every worker is
+    killed and reaped before this returns.  Without `os.fork`, or while
+    another thread runs, it is `check(jobs)`."""
     if processes <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         return check(jobs)
     size = max(1, -(-len(jobs) // (processes * _BLOCKS_PER_PROCESS)))
     blocks = [jobs[i:i + size] for i in range(0, len(jobs), size)]
-    workers = []                # (pid, read end, block indices); pid None: not forked
+    workers = []                # forked and not yet reaped
+    passed = set()              # the blocks this process passed
     try:
         for p in range(1, processes):
-            workers.append(_fork(check, blocks, range(p, len(blocks), processes)))
-        results: dict[int, bool] = {}
-        failure = None
+            pid = os.fork()
+            if pid == 0:
+                # leave by os._exit, running no exit handler of this process
+                code = 1
+                try:
+                    if all(check(blocks[j]) for j in range(p, len(blocks), processes)):
+                        code = 0
+                finally:
+                    os._exit(code)
+            workers.append(pid)
         for j in range(0, len(blocks), processes):
-            try:
-                results[j] = check(blocks[j])
-            except Exception as exc:        # raised when its turn comes
-                failure = (j, exc)
+            if not check(blocks[j]):
                 break
-            if not results[j]:
-                break
-        for _, fd, indices in workers:
-            reports = _read_to_end(fd) if fd is not None else b""
-            results.update(zip(indices, (r == ord("1") for r in reports)))
-        for j, block in enumerate(blocks):
-            if failure is not None and failure[0] == j:
-                raise failure[1]
-            if not (results[j] if j in results else check(block)):
-                return False
-        return True
+            passed.add(j)
+        else:
+            # reap the workers one by one; a worker whose blocks all passed
+            # exits with status 0
+            if all(os.waitpid(workers.pop(), 0)[1] == 0 for _ in range(len(workers))):
+                return True
+    except Exception:           # answered below, in block order
+        pass
     finally:
-        for pid, fd, _ in workers:
-            if pid is not None:
-                os.close(fd)
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _fork(check, blocks: list, indices: range):
-    """Start a worker that checks `blocks[j]` for j in `indices`, in order,
-    writes b"1" or b"0" for each and stops after the first b"0"; it leaves
-    with os._exit, running no exit handler of this process."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None, None, indices
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            for j in indices:
-                ok = check(blocks[j])
-                os.write(w, b"1" if ok else b"0")
-                if not ok:
-                    break
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r, indices
-
-
-def _read_to_end(fd: int) -> bytes:
-    out = []
-    while chunk := os.read(fd, 4096):
-        out.append(chunk)
-    return b"".join(out)
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return all(check(b) for j, b in enumerate(blocks) if j not in passed)
 
 
 def _unpromote(ep: ExtendedProcess) -> Process:

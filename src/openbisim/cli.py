@@ -34,8 +34,8 @@ from typing import Optional
 from . import corpus as corpus_pkg
 from .bisim import (
     Bisimilar, CapabilityLeaf, CheckConfig, DistinguishedVerdict, MoveNode,
-    RefineNode, RelationWitness, StaticLeaf, Unknown, check_bisim, early_root,
-    validate_witness,
+    RefineNode, RelationWitness, StaticLeaf, Unknown, _all_names, check_bisim,
+    early_root, validate_witness,
 )
 from .frames import Distinguished, Equivalent, Frame, static_equiv
 from .lts import History, Label, NotPiFragment, ReplicationUnbounded, early_transitions
@@ -385,9 +385,10 @@ def cmd_distinguish(args) -> int:
 def cmd_trace(args) -> int:
     th = _theory(args)
     proc = _read(args.process, parse)
-    gen = NameGen()
     ep = promote(proc)
     ep = make_extended(ep.privates, ep.frame, ep.body, th, ep.frame_order)
+    gen = NameGen()
+    gen.reserve(_all_names(ep))
     lines: list[str] = []
 
     def walk(state, depth):

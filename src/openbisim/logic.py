@@ -28,8 +28,9 @@ from typing import Iterable, Optional
 
 from .bisim import (
     Bisimilar, CapabilityLeaf, CheckConfig, MoveNode, RefineNode, StaticLeaf,
-    Strategy, Unknown, WorldMove, apply_world_move, canonical_render_term,
-    check_bisim, early_root, pi_worlds, representative_worlds,
+    Strategy, Unknown, WorldMove, _all_names, apply_world_move,
+    canonical_render_term, check_bisim, early_root, pi_worlds,
+    representative_worlds,
 )
 from .lts import (
     History, Label, NotPiFragment, early_answers, early_transitions,
@@ -397,7 +398,8 @@ def check(
     cfg: CheckConfig = CheckConfig(),
 ) -> Sat:
     """Three-valued satisfaction for the applied-pi logic.  Replication is
-    unfolded cfg.unfold times, as in the game's root (bisim.early_root)."""
+    unfolded cfg.unfold times, as in the game's root (bisim.early_root).
+    The names the checker mints avoid every name of the state and of f."""
     ep = promote(a)
     if cfg.unfold > 0 and has_replication(ep.body):
         ep = replace(ep, body=unfold_replication(ep.body, cfg.unfold))
@@ -406,7 +408,9 @@ def check(
     loose = formula_vars(f) - housed
     if any(not v.startswith("?") for v in loose) and loose & set(ep.privates):
         raise UnhousedVariable(f"formula variables {sorted(loose)} are private")
-    return _FMChecker(th, cfg).eval(ep, f)
+    checker = _FMChecker(th, cfg)
+    checker.gen.reserve(_all_names(ep) | formula_vars(f))
+    return checker.eval(ep, f)
 
 
 # Pi mode: plain pi processes under a history, late labels

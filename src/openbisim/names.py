@@ -2,8 +2,9 @@
 
 All identifiers live in one global namespace (names are just variables bound
 by `new`).  Every checking session owns a single monotone counter; generated
-identifiers render as ``base#N`` so they can never collide with source-level
-identifiers, which may not contain ``#``.
+identifiers render as ``base#N``.  Source identifiers may contain ``#`` too,
+since witness files hold generated names, so a session first reserves the
+names of its input (`NameGen.reserve`) and mints past their counters.
 """
 
 from __future__ import annotations

@@ -770,6 +770,11 @@ def _expansions(monkeypatch, log, acts=()):
     monkeypatch.setattr(_EarlyGame, "_expand", expand)
 
 
+def _processes(monkeypatch, n):
+    """Validate over n processes, whatever the CPUs and the witness size."""
+    monkeypatch.setattr(bisim, "_usable_cpus", lambda pairs: n)
+
+
 def _expanded_by(log, key):
     """The pids that expanded the pair with `key`, per the log."""
     with open(log) as fh:
@@ -779,7 +784,7 @@ def _expanded_by(log, key):
 
 @needs_fork
 @pytest.mark.parametrize("entry", BISIMILAR, ids=lambda e: e.name)
-def test_forked_validation_matches_one_process(entry):
+def test_forked_validation_matches_one_process(entry, monkeypatch):
     pi = entry.kind == "bisim-pi"
     th = load_theory(corpus.path(entry.theory))
     cfg = CheckConfig(recipe_depth=entry.recipe_depth, max_depth=entry.max_depth,
@@ -787,10 +792,12 @@ def test_forked_validation_matches_one_process(entry):
     game = open_bisim_pi_check if pi else quasi_open_check
     v = game(parse(corpus.read(entry.left)), parse(corpus.read(entry.right)), th, cfg)
     assert isinstance(v, Bisimilar)
-    want = validate_witness(v.witness, th, cfg, _processes=1)
+    _processes(monkeypatch, 1)
+    want = validate_witness(v.witness, th, cfg)
     assert want
     for processes in (2, 3):
-        assert validate_witness(v.witness, th, cfg, _processes=processes) == want
+        _processes(monkeypatch, processes)
+        assert validate_witness(v.witness, th, cfg) == want
         _no_worker_left()
 
 
@@ -806,11 +813,13 @@ def test_forked_validation_rejects_every_mutation(monkeypatch, tmp_path):
                                   w.root, w.mode, w.config)
         # the one-process loop stops at the first pair that fails
         log.write_text("")
-        assert not validate_witness(mutated, TH, CFG, _processes=1)
+        _processes(monkeypatch, 1)
+        assert not validate_witness(mutated, TH, CFG)
         first_bad = log.read_text().splitlines()[-1:]   # []: the root test failed
         for processes in (2, 3):
             log.write_text("")
-            assert not validate_witness(mutated, TH, CFG, _processes=processes), drop
+            _processes(monkeypatch, processes)
+            assert not validate_witness(mutated, TH, CFG), drop
             _no_worker_left()
             if first_bad:
                 key = first_bad[0].split(" ", 1)[1]
@@ -830,11 +839,13 @@ def test_exception_of_a_block_is_raised_by_the_parent(victim, monkeypatch, tmp_p
         raise NonTermination("rewriting does not terminate")
 
     _expansions(monkeypatch, log, [(w.pairs[victim], loop)])
+    _processes(monkeypatch, 1)
     with pytest.raises(NonTermination):
-        validate_witness(w, TH, CFG, _processes=1)
+        validate_witness(w, TH, CFG)
     log.write_text("")
+    _processes(monkeypatch, 2)
     with pytest.raises(NonTermination):
-        validate_witness(w, TH, CFG, _processes=2)
+        validate_witness(w, TH, CFG)
     _no_worker_left()
     # pair 0 is the parent's, pair 1 a worker's; a worker's block is
     # checked again by the parent, which raises
@@ -846,7 +857,8 @@ def test_exception_of_a_block_is_raised_by_the_parent(victim, monkeypatch, tmp_p
 @needs_fork
 def test_earlier_false_wins_over_later_exception(monkeypatch, tmp_path):
     # pair 1 (a worker's block) fails, pair 2 (the parent's) raises: the
-    # one-process loop stops at pair 1, so the answer is False
+    # one-process loop stops at pair 1, so the answer is False.  The parent
+    # checks pair 1 again once a process fails; pair 2 is the parent's alone
     w = check(SERVER_A, SERVER_B).witness
 
     def unbounded():
@@ -857,11 +869,12 @@ def test_earlier_false_wins_over_later_exception(monkeypatch, tmp_path):
 
     log = tmp_path / "expanded"
     _expansions(monkeypatch, log, [(w.pairs[1], unbounded), (w.pairs[2], loop)])
-    assert validate_witness(w, TH, CFG, _processes=1) is False
+    _processes(monkeypatch, 1)
+    assert validate_witness(w, TH, CFG) is False
     log.write_text("")
-    assert validate_witness(w, TH, CFG, _processes=2) is False
+    _processes(monkeypatch, 2)
+    assert validate_witness(w, TH, CFG) is False
     _no_worker_left()
-    assert os.getpid() not in _expanded_by(log, canonical_key(*w.pairs[1]))
     assert _expanded_by(log, canonical_key(*w.pairs[2])) == {os.getpid()}
 
 
@@ -875,31 +888,34 @@ def test_dead_worker_blocks_are_checked_again(monkeypatch, tmp_path):
             os._exit(3)
 
     _expansions(monkeypatch, tmp_path / "expanded", [(w.pairs[1], die)])
-    assert validate_witness(w, TH, CFG, _processes=3)
+    _processes(monkeypatch, 3)
+    assert validate_witness(w, TH, CFG)
     _no_worker_left()
 
 
-def _no_fork(*_args):
-    raise AssertionError("a worker was forked")
+def _no_fork():
+    # pytest.fail raises past the `except Exception` of bisim._forked_all
+    pytest.fail("a worker was forked")
 
 
 def test_validation_runs_in_one_process_without_fork(monkeypatch):
     w = check(SERVER_A, SERVER_B).witness
     monkeypatch.delattr(os, "fork", raising=False)
-    monkeypatch.setattr(bisim, "_fork", _no_fork)
-    assert validate_witness(w, TH, CFG, _processes=2)
+    _processes(monkeypatch, 2)
+    assert validate_witness(w, TH, CFG)
 
 
 def test_small_witness_or_running_thread_is_not_forked(monkeypatch):
     w = check(SERVER_A, SERVER_B).witness
-    monkeypatch.setattr(bisim, "_fork", _no_fork)
+    monkeypatch.setattr(os, "fork", _no_fork)
     assert len(w.pairs) < bisim._FORK_MIN_PAIRS
     assert validate_witness(w, TH, CFG)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
     try:
-        assert validate_witness(w, TH, CFG, _processes=2)
+        _processes(monkeypatch, 2)
+        assert validate_witness(w, TH, CFG)
     finally:
         stop.set()
         other.join(timeout=10)

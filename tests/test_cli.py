@@ -70,6 +70,26 @@ def test_trace_output():
     assert "--a!(" in out
 
 
+# Identifiers may hold `#`, as generated names do: the names the checker
+# mints avoid those of its input
+
+def test_model_check_mints_no_name_of_the_process(tmp_path):
+    p, f = tmp_path / "p.pi", tmp_path / "f.fm"
+    p.write_text("out(a, b). out(a, v#1). 0\n")
+    f.write_text("<a!(x)><a!(y)> x = y\n")
+    # a frame variable minted as v#1 would equate the two outputs
+    assert run(["model-check", str(p), str(f), THY])[:2] == (1, "unsat\n")
+
+
+def test_trace_mints_no_name_of_the_process(tmp_path):
+    p = tmp_path / "p.pi"
+    p.write_text("in(a, x). out(a, z#2). 0\n")
+    code, out, _ = run(["trace", str(p), THY])
+    assert code == 0
+    inputs = [l for l in out.splitlines() if "--a?" in l]
+    assert len(inputs) == 1 and "--a?z#2-->" not in inputs[0], out
+
+
 def test_fmt_roundtrip(tmp_path):
     code, out, _ = run(["fmt", corpus_path("server_b.pi")])
     assert code == 0
@@ -133,6 +153,22 @@ def test_emit_witness_revalidates(tmp_path):
                          corpus_path("server_b.pi"), THY,
                          "--recipe-depth", "1", "--validate", str(w2)])
     assert code2 == 0 and "valid" in out
+
+
+def test_damaged_witness_at_a_forked_size_is_invalid(tmp_path):
+    # 345 pairs, above bisim._FORK_MIN_PAIRS: with 2 or more usable CPUs
+    # validation is shared out over forked workers, and the 12th pair falls
+    # in a worker's block for 2, 3 or 4 processes
+    args = ["check-bisim", corpus_path("fixed_server.pi"),
+            corpus_path("fixed_server_p.pi"), THY, "--recipe-depth", "2"]
+    w = tmp_path / "witness.txt"
+    assert run(args + ["--emit-witness", str(w)])[:2] == (
+        0, "bisimilar (witness of 345 pairs)\n")
+    assert run(args + ["--validate", str(w)])[:2] == (0, "valid\n")
+    lines = w.read_text().splitlines()
+    drop = [i for i, l in enumerate(lines) if l.startswith("pair ")][11]
+    w.write_text("".join(l + "\n" for i, l in enumerate(lines) if i != drop))
+    assert run(args + ["--validate", str(w)])[:2] == (1, "invalid\n")
 
 
 @pytest.mark.parametrize("pair", ["open_guard", "open_fresh", "tau_sum"])
