@@ -43,8 +43,8 @@ from .names import NameGen
 from .syntax import (
     ExtendedProcess, New, Process, bound_names, canonical_key, canonical_render,
     free_vars, guard_pairs, guards_and_outputs, has_replication, is_pi_fragment,
-    make_extended, make_successor, promote, rename_apart, substitute,
-    unfold_replication,
+    make_extended, make_successor, promote, rename_apart, share_name_sets,
+    substitute, unfold_replication,
 )
 from .terms import (
     App, Substitution, Term, Theory, Var, apply_map,
@@ -414,8 +414,12 @@ def _render_positional(t: Term, names: dict[str, str]) -> str:
 def apply_world_move(ep: ExtendedProcess, mv: WorldMove, th: Theory) -> ExtendedProcess:
     """The state a world move leads a normal-form state to: the move's
     substitution applied to the frame and the body, and each term it
-    rebuilds normalized (make_successor)."""
-    frame = Substitution.of({x: mv.sigma(t) for x, t in ep.frame.bindings})
+    rebuilds normalized (make_successor).  A move that changes no frame
+    value keeps the state's frame object."""
+    frame = ep.frame
+    values = [mv.sigma(t) for _, t in frame.bindings]
+    if any(v is not t for v, (_, t) in zip(values, frame.bindings)):
+        frame = Substitution(tuple(zip(frame._map, values)))
     body = substitute(ep.body, mv.sigma, avoid=frozenset(ep.privates), th=th)
     if mv.kind == "subst":
         return make_successor(ep.privates, frame, body, th, ep.frame_order)
@@ -506,28 +510,31 @@ def _top_recipes(lower: tuple[Term, ...], images: dict[Term, Term],
             columns = [[r for img, rs in by_image.items() if _may_unify(img, arg)
                         for r in rs] for arg in g.args]
             out.update(App(g.fn, args) for args in itertools.product(*columns))
-
-    def fill(lhs: App, rule_vars: frozenset[str], bindings: dict[str, Term],
-             columns: list[list[Term]]) -> None:
-        # match lhs.args left to right against the images, as at the root
-        # of normalize_root, carrying the bindings
-        if len(columns) == len(lhs.args):
-            out.update(App(lhs.fn, args) for args in itertools.product(*columns))
-            return
-        pat = lhs.args[len(columns)]
-        if term_free_vars(pat) & rule_vars <= bindings.keys():
-            rs = by_image.get(apply_map(pat, bindings))
-            if rs:
-                fill(lhs, rule_vars, bindings, columns + [rs])
-            return
-        for img, rs in by_image.items():
-            m = match_term(pat, img, rule_vars)
-            if m is not None and all(bindings.get(x, v) == v for x, v in m.items()):
-                fill(lhs, rule_vars, {**bindings, **m}, columns + [rs])
-
     for rule in th.rules:
-        fill(rule.lhs, rule.variables(), {}, [])
+        _fill(out, by_image, rule.lhs, rule.variables(), {}, [])
     return out
+
+
+def _fill(out: set[Term], by_image: dict[Term, list[Term]], lhs: App,
+          rule_vars: frozenset[str], bindings: dict[str, Term],
+          columns: list[list[Term]]) -> None:
+    """Add to `out` the recipes of _top_recipes at whose root the rule's
+    left side `lhs` matches: its arguments matched left to right against
+    the images (`by_image`), as at the root of normalize_root, carrying the
+    bindings; `columns` holds the recipes of the arguments matched so far."""
+    if len(columns) == len(lhs.args):
+        out.update(App(lhs.fn, args) for args in itertools.product(*columns))
+        return
+    pat = lhs.args[len(columns)]
+    if term_free_vars(pat) & rule_vars <= bindings.keys():
+        rs = by_image.get(apply_map(pat, bindings))
+        if rs:
+            _fill(out, by_image, lhs, rule_vars, bindings, columns + [rs])
+        return
+    for img, rs in by_image.items():
+        m = match_term(pat, img, rule_vars)
+        if m is not None and all(bindings.get(x, v) == v for x, v in m.items()):
+            _fill(out, by_image, lhs, rule_vars, {**bindings, **m}, columns + [rs])
 
 
 def _payload_candidates(
@@ -714,9 +721,11 @@ class _Game:
     is computed by stratified removal (`solve`), and a surviving root is
     justified by its alive closure (`_closure`); `_build_strategy` replays a
     killed node.  An arena supplies its node type (`_node_type`, built from
-    the state, the key and the depth), its key (`_key`), `_expand` (the
-    static check, world edges and side moves of a node) and
-    `_LAST_DEAD_MOVE`.
+    the state, the key and the depth), its key (`_key`), `_bodies` (the
+    processes of a node's states), `_expand` (the static check, world edges
+    and side moves of a node) and `_LAST_DEAD_MOVE`.  Before a node is
+    expanded, the cached free-name sets of its bodies are pointed at the
+    game's one set per content (`name_sets`, syntax.share_name_sets).
 
     An explored node keeps its state, its static verdict and taint, the
     child key of each world edge and, of each side move, the mover's side,
@@ -745,6 +754,7 @@ class _Game:
         self.nodes: dict[str, object] = {}
         self.relation = relation
         self.outside: set[str] = set()
+        self.name_sets: dict[frozenset[str], frozenset[str]] = {}
 
     def node_for(self, *state_depth):
         """The root node of a state (every argument but the last, the
@@ -769,6 +779,8 @@ class _Game:
                                or len(self.nodes) > _MAX_NODES):
                 node.frontier = True
             else:
+                for body in self._bodies(node):
+                    share_name_sets(body, self.name_sets)
                 self._expand(node)
         return node.key
 
@@ -931,6 +943,10 @@ class _EarlyGame(_Game):
     def _key(self, a: ExtendedProcess, b: ExtendedProcess) -> str:
         return canonical_key(a, b)
 
+    @staticmethod
+    def _bodies(node: _Node) -> tuple[Process, Process]:
+        return node.a.body, node.b.body
+
     def _expand(self, node: _Node, replay: Optional[_Replay] = None) -> None:
         """Static check, world edges and side moves of a node.  Edges and
         replies hold child keys only, so an explored graph keeps no
@@ -1079,10 +1095,10 @@ def validate_witness(
 
     Each early applied-pi pair is checked on its own against the witness's
     keys, so the pairs are shared out over one process per usable CPU,
-    forked workers beside this one (_forked_all).  The workers report by
-    their exit status; if any process fails, this one checks again every
-    block it did not pass, so the result, or the exception, is the
-    one-process one."""
+    forked workers beside this one (_forked_all).  A worker reports by its
+    exit status which of its blocks passed; if any process fails, this one
+    checks again, in order, every block that no process passed, so the
+    result, or the exception, is the one-process one."""
     cfg = cfg or witness.config
     if witness.mode == "late-pi":
         # the pairs carry no histories: play the game from the root again,
@@ -1158,20 +1174,35 @@ def _forked_all(check, jobs: list, processes: int) -> bool:
     processes.  The jobs are cut into contiguous blocks; block j goes to
     process j mod `processes`, this one being process 0 and each other one
     a forked worker.  Every process checks its blocks in order and stops at
-    the first that fails; a worker reports by its exit status alone, 0 when
-    all its blocks passed.  When every process passes, the answer is True.
-    On any failure (a block of this process that fails or raises, a fork
-    that fails, a worker that exits non-zero or is killed) the blocks this
-    process did not pass are checked again here in block order, which gives
-    the one-process answer, or exception, by construction.  Every worker is
-    killed and reaped before this returns.  Without `os.fork`, or while
-    another thread runs, it is `check(jobs)`."""
+    the first that fails or raises.  A worker reports by its exit status
+    alone: 0 when all its blocks passed, else 1 + k, k being the position
+    in its share of the block it stopped at (at most _BLOCKS_PER_PROCESS
+    blocks make a share).  When every process passes, the answer is True.
+    On any failure (a block that fails or raises, a fork that fails, a
+    worker killed) every worker still running is killed, and the blocks
+    that no process is known to have passed are checked again here in
+    block order: this process's own from the one it stopped at, a worker's
+    from the one it reported, all of a killed worker's.  That gives the
+    one-process answer, or exception, by construction.  Every worker is
+    reaped before this returns.  Without `os.fork`, or while another thread
+    runs, it is `check(jobs)`."""
     if processes <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         return check(jobs)
     size = max(1, -(-len(jobs) // (processes * _BLOCKS_PER_PROCESS)))
     blocks = [jobs[i:i + size] for i in range(0, len(jobs), size)]
-    workers = []                # forked and not yet reaped
-    passed = set()              # the blocks this process passed
+    workers = {}                # forked and not yet reaped: pid -> process
+    passed = set()              # the blocks some process passed
+
+    def reap(pid: int, status: int) -> bool:
+        """Record the blocks the worker `pid` passed; whether all did."""
+        share = range(workers.pop(pid), len(blocks), processes)
+        code = os.waitstatus_to_exitcode(status)    # -signal if killed
+        if code == 0:
+            passed.update(share)
+        elif 0 < code <= len(share):
+            passed.update(share[:code - 1])
+        return code == 0
+
     try:
         for p in range(1, processes):
             pid = os.fork()
@@ -1179,26 +1210,32 @@ def _forked_all(check, jobs: list, processes: int) -> bool:
                 # leave by os._exit, running no exit handler of this process
                 code = 1
                 try:
-                    if all(check(blocks[j]) for j in range(p, len(blocks), processes)):
+                    for k, j in enumerate(range(p, len(blocks), processes)):
+                        code = 1 + k
+                        if not check(blocks[j]):
+                            break
+                    else:
                         code = 0
                 finally:
                     os._exit(code)
-            workers.append(pid)
+            workers[pid] = p
         for j in range(0, len(blocks), processes):
             if not check(blocks[j]):
                 break
             passed.add(j)
         else:
-            # reap the workers one by one; a worker whose blocks all passed
-            # exits with status 0
-            if all(os.waitpid(workers.pop(), 0)[1] == 0 for _ in range(len(workers))):
+            # reap the workers one by one while their blocks all pass
+            while workers:
+                if not reap(*os.waitpid(next(iter(workers)), 0)):
+                    break
+            else:
                 return True
     except Exception:           # answered below, in block order
         pass
     finally:
-        for pid in workers:
+        for pid in list(workers):
             os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            reap(*os.waitpid(pid, 0))
     return all(check(b) for j, b in enumerate(blocks) if j not in passed)
 
 
@@ -1287,6 +1324,10 @@ class _PiGame(_Game):
 
     def _key(self, h: History, p: Process, q: Process) -> str:
         return _pi_key(h, p, q)
+
+    @staticmethod
+    def _bodies(node: _PiNode) -> tuple[Process, Process]:
+        return node.p, node.q
 
     def _pair_key(self, node: _PiNode) -> str:
         return canonical_key(promote(node.p), promote(node.q))

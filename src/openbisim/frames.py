@@ -309,27 +309,30 @@ def deducible(
     """
     target = normalize(target, th)
     known = saturate(frame, th, frozenset(publics))
-
-    def build(t: Term, d: int) -> Optional[Term]:
-        recs = known.get(t)
-        if recs:
-            return recs[0]
-        if isinstance(t, Var):
-            return t if t.name not in frame.privates else None
-        if d <= 0:
-            return None
-        args = []
-        for a in t.args:
-            r = build(normalize(a, th), d - 1)
-            if r is None:
-                return None
-            args.append(r)
-        return App(t.fn, tuple(args))
-
-    recipe = build(target, depth)
+    recipe = _build(target, depth, known, frame, th)
     if recipe is not None and eq_mod(frame.binding(recipe), target, th):
         return recipe
     return None
+
+
+def _build(t: Term, d: int, known: dict[Term, list[Term]], frame: Frame,
+           th: Theory) -> Optional[Term]:
+    """deducible's reconstruction of `t` from the saturation `known`, up to
+    constructor depth `d`."""
+    recs = known.get(t)
+    if recs:
+        return recs[0]
+    if isinstance(t, Var):
+        return t if t.name not in frame.privates else None
+    if d <= 0:
+        return None
+    args = []
+    for a in t.args:
+        r = _build(normalize(a, th), d - 1, known, frame, th)
+        if r is None:
+            return None
+        args.append(r)
+    return App(t.fn, tuple(args))
 
 
 # ---------------------------------------------------------------------------

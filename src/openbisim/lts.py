@@ -222,7 +222,7 @@ def _comms(outs, ins, th: Theory):
 # Top-level transitions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Label:
     """An action, as a transition fires it and as a modality names it.
 
@@ -249,14 +249,14 @@ class Label:
         return f"{c}?{render_term(self.payload)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     label: Label
     target: ExtendedProcess | Process   # a Process in the late system
     raw_channel: Optional[Term] = None  # early output: channel as written (may be private)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InputSchema:
     """A symbolic input of a normal-form state: concrete payloads are
     supplied by the caller (`instantiate`)."""
@@ -282,7 +282,7 @@ class InputSchema:
         return make_successor(ep.privates, ep.frame, body, th, ep.frame_order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionSet:
     transitions: tuple[Transition, ...]
     inputs: tuple[InputSchema, ...]

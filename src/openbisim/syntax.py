@@ -37,7 +37,7 @@ __all__ = [
     "alpha_canonicalize", "substitute", "alpha_equiv", "guard_pairs",
     "make_extended", "make_successor", "rename_apart", "guards_and_outputs",
     "is_pi_fragment", "has_replication", "canonical_render",
-    "unfold_replication",
+    "unfold_replication", "share_name_sets",
 ]
 
 
@@ -234,6 +234,28 @@ def bound_names(p: Process) -> frozenset[str]:
         bn = _union(bn, frozenset((binder,)))
     object.__setattr__(p, "_bn", bn)
     return bn
+
+
+def share_name_sets(p: Process, table: dict[frozenset[str], frozenset[str]]) -> None:
+    """Point the cached free-name set of every node of `p`, and of every
+    term in it, at the equal set of `table`, entering there each set it
+    does not hold yet.  An equal set replaces a cached one, so no reader of
+    free_vars can tell; nodes shared through one table hold one set object
+    per content.  A node or term with no cached set is left as it is."""
+    todo: list[Process | Term] = [p]
+    while todo:
+        x = todo.pop()
+        fv = getattr(x, "_fv", None)
+        if fv is not None:
+            shared = table.setdefault(fv, fv)
+            if shared is not fv:
+                object.__setattr__(x, "_fv", shared)
+        if isinstance(x, Process):
+            terms, _, subs = x._parts()
+            todo += terms
+            todo += subs
+        elif type(x) is not Var:
+            todo += x.args
 
 
 def _fresh_avoiding(base: str, avoid: set[str]) -> str:
@@ -462,7 +484,7 @@ def unfold_replication(p: Process, copies: int) -> Process:
 # Extended processes
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class ExtendedProcess:
     """Normal form: new x1...xn. (frame | body).
 
@@ -535,17 +557,24 @@ def _with_frame(privates: tuple[str, ...], frame: Substitution, body: Process,
                 th: Optional[Theory], frame_order: tuple[str, ...]) -> ExtendedProcess:
     """The extended process of a body the frame is applied to: the frame's
     values normalized under `th` (the normal-form table's shared objects)
-    and the private names it does not use dropped."""
+    and the private names it does not use dropped.  The given `privates`
+    and `frame_order` are kept as they are when nothing is dropped from
+    them, so that successors share them with their parent."""
     if th is not None:
         values = [normalize(t, th) for _, t in frame.bindings]
         if len(frame._map) != len(values) or any(
                 n is not t for n, (_, t) in zip(values, frame.bindings)):
             frame = Substitution.of({x: n for n, (x, _) in zip(values, frame.bindings)})
-    used = free_vars(body) | frame.range_vars()
-    privates = tuple(x for x in privates if x in used)
+    if privates:
+        used = free_vars(body) | frame.range_vars()
+        if not all(x in used for x in privates):
+            privates = tuple(x for x in privates if x in used)
     domain = frame._map
-    order = tuple(x for x in (frame_order or sorted(domain)) if x in domain)
-    return ExtendedProcess(privates, frame, body, order)
+    if not frame_order:
+        frame_order = tuple(sorted(domain))
+    elif not all(x in domain for x in frame_order):
+        frame_order = tuple(x for x in frame_order if x in domain)
+    return ExtendedProcess(privates, frame, body, frame_order)
 
 
 def _normalize_terms(p: Process, th: Theory) -> Process:

@@ -669,50 +669,9 @@ def _unify_mod_raw(s: Term, t: Term, th: Theory) -> UnifierSet:
     the filter: _canonical_unifier numbers the narrowing variables left in
     a solution by their sorted names, where ?r10 sorts before ?r9.
     """
-    keep = free_vars(s) | free_vars(t)
-    renamed = 0     # ?r<n> names handed out so far
-    found: dict[Substitution, None] = {}
-    truncated = False
-
-    def solve(a: Term, b: Term, acc: Substitution, depth: int) -> None:
-        nonlocal renamed, truncated
-        a, b = normalize(a, th), normalize(b, th)
-        mgu = syntactic_unify([(a, b)])
-        if mgu is not None:
-            sol = _canonical_unifier(acc.compose(mgu), keep, th)
-            if sol.is_idempotent() and _sound(sol):
-                found.setdefault(sol)
-        steps = []
-        for side, term, other in (("l", a, b), ("r", b, a)):
-            for pos, sub in _nonvar_positions(term):
-                for rule in th.rules:
-                    start = renamed
-                    renamed += len(rule.variables())
-                    if rule.lhs.fn != sub.fn or len(rule.lhs.args) != len(sub.args):
-                        continue
-                    lhs, rhs = _rename_rule(rule, start)
-                    theta = syntactic_unify([(sub, lhs)])
-                    if theta is None:
-                        continue
-                    steps.append((side, pos, theta, rhs, term, other))
-        if not steps:
-            return
-        if depth <= 0:
-            truncated = True
-            return
-        for side, pos, theta, rhs, term, other in steps:
-            narrowed = theta(_replace(term, pos, rhs))
-            rest = theta(other)
-            nxt = acc.compose(theta)
-            if side == "l":
-                solve(narrowed, rest, nxt, depth - 1)
-            else:
-                solve(rest, narrowed, nxt, depth - 1)
-
-    def _sound(sol: Substitution) -> bool:
-        return eq_mod(sol(s), sol(t), th)
-
-    solve(s, t, Substitution.identity(), th.unification_bound)
+    search = _Narrowing(s, t, th)
+    search.solve(s, t, Substitution.identity(), th.unification_bound)
+    found, keep, truncated = search.found, search.keep, search.truncated
 
     by_size = sorted(
         found,
@@ -730,6 +689,58 @@ def _unify_mod_raw(s: Term, t: Term, th: Theory) -> UnifierSet:
         key=lambda sub: tuple((x, render_term(r)) for x, r in sub.bindings),
     )
     return UnifierSet(tuple(ordered), truncated)
+
+
+class _Narrowing:
+    """The search of one _unify_mod_raw problem s =? t: the problem's
+    variables (`keep`), the ?r<n> names handed out so far (`renamed`), the
+    solutions found in order and whether the narrowing bound cut the
+    search.  Methods rather than nested functions, so that a search leaves
+    no reference cycle (a recursive closure is one) for the collector."""
+
+    __slots__ = ("s", "t", "th", "keep", "renamed", "found", "truncated")
+
+    def __init__(self, s: Term, t: Term, th: Theory):
+        self.s, self.t, self.th = s, t, th
+        self.keep = free_vars(s) | free_vars(t)
+        self.renamed = 0
+        self.found: dict[Substitution, None] = {}
+        self.truncated = False
+
+    def solve(self, a: Term, b: Term, acc: Substitution, depth: int) -> None:
+        th = self.th
+        a, b = normalize(a, th), normalize(b, th)
+        mgu = syntactic_unify([(a, b)])
+        if mgu is not None:
+            sol = _canonical_unifier(acc.compose(mgu), self.keep, th)
+            if sol.is_idempotent() and eq_mod(sol(self.s), sol(self.t), th):
+                self.found.setdefault(sol)
+        steps = []
+        for side, term, other in (("l", a, b), ("r", b, a)):
+            for pos, sub in _nonvar_positions(term):
+                for rule in th.rules:
+                    start = self.renamed
+                    self.renamed += len(rule.variables())
+                    if rule.lhs.fn != sub.fn or len(rule.lhs.args) != len(sub.args):
+                        continue
+                    lhs, rhs = _rename_rule(rule, start)
+                    theta = syntactic_unify([(sub, lhs)])
+                    if theta is None:
+                        continue
+                    steps.append((side, pos, theta, rhs, term, other))
+        if not steps:
+            return
+        if depth <= 0:
+            self.truncated = True
+            return
+        for side, pos, theta, rhs, term, other in steps:
+            narrowed = theta(_replace(term, pos, rhs))
+            rest = theta(other)
+            nxt = acc.compose(theta)
+            if side == "l":
+                self.solve(narrowed, rest, nxt, depth - 1)
+            else:
+                self.solve(rest, narrowed, nxt, depth - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -737,6 +737,7 @@ def test_may_unify_over_approximates_legality(recorded):
 # the one-process exception, and no worker left behind
 
 import os
+import signal
 import threading
 
 from openbisim.syntax import canonical_key
@@ -885,12 +886,43 @@ def test_dead_worker_blocks_are_checked_again(monkeypatch, tmp_path):
 
     def die():
         if os.getpid() != parent:
-            os._exit(3)
+            # killed: an exit status would be read as the worker's report
+            os.kill(os.getpid(), signal.SIGKILL)
 
-    _expansions(monkeypatch, tmp_path / "expanded", [(w.pairs[1], die)])
+    log = tmp_path / "expanded"
+    _expansions(monkeypatch, log, [(w.pairs[1], die)])
     _processes(monkeypatch, 3)
     assert validate_witness(w, TH, CFG)
     _no_worker_left()
+    assert parent in _expanded_by(log, canonical_key(*w.pairs[1]))
+
+
+@needs_fork
+@pytest.mark.parametrize("k", [0, 2, 6])
+@pytest.mark.parametrize("how", ["fails", "raises"])
+def test_worker_report_spares_its_passed_blocks(k, how, monkeypatch, tmp_path):
+    # 14 pairs over 2 processes: blocks of one pair, the worker's share the
+    # odd ones.  Its k-th block fails or raises in the worker alone, so the
+    # worker exits with 1 + k; the parent checks that block and the later
+    # ones of the share again, and none before it
+    w = check(SERVER_A, SERVER_B).witness
+    assert len(w.pairs) == 14
+    parent = os.getpid()
+
+    def fail():
+        if os.getpid() != parent:
+            if how == "fails":
+                raise ReplicationUnbounded("replication requires an unfolding bound")
+            raise NonTermination("rewriting does not terminate")
+
+    log = tmp_path / "expanded"
+    _expansions(monkeypatch, log, [(w.pairs[1 + 2 * k], fail)])
+    _processes(monkeypatch, 2)
+    assert validate_witness(w, TH, CFG)
+    _no_worker_left()
+    by_parent = [parent in _expanded_by(log, canonical_key(*w.pairs[j]))
+                 for j in range(1, 14, 2)]
+    assert by_parent == [i >= k for i in range(7)]
 
 
 def _no_fork():
